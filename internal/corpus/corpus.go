@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +24,6 @@ import (
 
 	"gcbench/internal/behavior"
 	"gcbench/internal/predict"
-	"gcbench/internal/report"
 	"gcbench/internal/sweep"
 )
 
@@ -66,21 +64,17 @@ type Snapshot struct {
 	// Space is the max-normalized behavior space over the ok runs
 	// (nil when the snapshot holds no ok runs).
 	Space *behavior.Space
-	// spaceRec maps Space index → Records index.
+	// spaceRec maps Space index → Records index; spaceOf is its inverse
+	// (-1 for records without a measurement).
 	spaceRec []int
+	spaceOf  []int
 
 	// Pool is the §5.2 ensemble-design pool: the graph-varying ok runs,
-	// normalized separately (nil when empty).
+	// normalized separately (nil when empty). Pool index j is the
+	// index's pool ordinal j.
 	Pool *behavior.Space
-	// poolRec maps Pool index → Records index.
-	poolRec []int
 
-	byKey    map[string]int
-	byAlg    map[string][]int
-	bySize   map[string][]int
-	byStatus map[behavior.RunStatus][]int
-	// byModel indexes records by effective execution model ("" → "gas").
-	byModel map[string][]int
+	ix *Index
 
 	predOnce sync.Once
 	pred     *predict.Predictor
@@ -107,12 +101,6 @@ type Filter struct {
 	Alphas     []float64
 	Statuses   []behavior.RunStatus
 	Models     []string `json:",omitempty"`
-}
-
-// zero reports whether the filter is unrestricted.
-func (f Filter) zero() bool {
-	return len(f.Algorithms) == 0 && len(f.Sizes) == 0 && len(f.Alphas) == 0 &&
-		len(f.Statuses) == 0 && len(f.Models) == 0
 }
 
 // alphaMatch reports whether a is in the filter's alpha set.
@@ -152,12 +140,17 @@ func KeyOfModel(model, algorithm, sizeLabel string, alpha float64) string {
 func NewSnapshotFromRuns(runs []*behavior.Run, source string) (*Snapshot, error) {
 	records := make([]Record, 0, len(runs))
 	for _, r := range runs {
-		records = append(records, Record{
-			Run: r, Status: behavior.StatusOK,
-			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
-		})
+		records = append(records, okRecord(r))
 	}
 	return newSnapshot(records, source)
+}
+
+// okRecord wraps a measured run as an ok corpus record.
+func okRecord(r *behavior.Run) Record {
+	return Record{
+		Run: r, Status: behavior.StatusOK,
+		Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
+	}
 }
 
 // NewSnapshotFromJournal builds a snapshot from checkpoint-journal
@@ -237,38 +230,29 @@ func newSnapshot(records []Record, source string) (*Snapshot, error) {
 		Source:   source,
 		LoadedAt: time.Now(),
 		Records:  records,
-		byKey:    make(map[string]int, len(records)),
-		byAlg:    map[string][]int{},
-		bySize:   map[string][]int{},
-		byStatus: map[behavior.RunStatus][]int{},
-		byModel:  map[string][]int{},
-	}
-	varying := make(map[string]bool, len(report.GraphVaryingAlgorithms))
-	for _, a := range report.GraphVaryingAlgorithms {
-		varying[a] = true
+		spaceOf:  make([]int, len(records)),
+		ix:       newIndex(len(records)),
 	}
 	var okRuns, poolRuns []*behavior.Run
 	for i := range s.Records {
 		rec := &s.Records[i]
-		key := KeyOfModel(rec.Model, rec.Algorithm, rec.SizeLabel, rec.Alpha)
+		base := KeyOfModel(rec.Model, rec.Algorithm, rec.SizeLabel, rec.Alpha)
+		key := base
 		for n := 2; ; n++ {
-			if _, taken := s.byKey[key]; !taken {
+			if _, taken := s.ix.Lookup(key); !taken {
 				break
 			}
-			key = fmt.Sprintf("%s_%d", KeyOfModel(rec.Model, rec.Algorithm, rec.SizeLabel, rec.Alpha), n)
+			key = fmt.Sprintf("%s_%d", base, n)
 		}
 		rec.Key = key
-		s.byKey[key] = i
-		s.byAlg[rec.Algorithm] = append(s.byAlg[rec.Algorithm], i)
-		s.bySize[rec.SizeLabel] = append(s.bySize[rec.SizeLabel], i)
-		s.byStatus[rec.Status] = append(s.byStatus[rec.Status], i)
-		s.byModel[behavior.EffectiveModel(rec.Model)] = append(s.byModel[behavior.EffectiveModel(rec.Model)], i)
+		s.ix.add(rec)
+		s.spaceOf[i] = -1
 		if rec.Status == behavior.StatusOK && rec.Run != nil {
 			okRuns = append(okRuns, rec.Run)
+			s.spaceOf[i] = len(s.spaceRec)
 			s.spaceRec = append(s.spaceRec, i)
-			if varying[rec.Algorithm] {
+			if s.ix.PoolOf(i) >= 0 {
 				poolRuns = append(poolRuns, rec.Run)
-				s.poolRec = append(s.poolRec, i)
 			}
 		}
 	}
@@ -290,91 +274,13 @@ func newSnapshot(records []Record, source string) (*Snapshot, error) {
 }
 
 // Lookup returns the record index for a key.
-func (s *Snapshot) Lookup(key string) (int, bool) {
-	i, ok := s.byKey[key]
-	return i, ok
-}
+func (s *Snapshot) Lookup(key string) (int, bool) { return s.ix.Lookup(key) }
 
 // Select returns the indices of records matching the filter, ascending.
-// The smallest applicable index list narrows the candidates before the
-// full predicate runs, so single-dimension queries never scan the corpus.
-func (s *Snapshot) Select(f Filter) []int {
-	var candidates []int
-	if f.zero() {
-		out := make([]int, len(s.Records))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	// Pick the narrowest index among the dimensions the filter restricts.
-	narrow := func(lists [][]int) []int {
-		var merged []int
-		for _, l := range lists {
-			merged = append(merged, l...)
-		}
-		sort.Ints(merged)
-		return merged
-	}
-	best := -1
-	consider := func(c []int) {
-		if best < 0 || len(c) < best {
-			best = len(c)
-			candidates = c
-		}
-	}
-	if len(f.Algorithms) > 0 {
-		lists := make([][]int, 0, len(f.Algorithms))
-		for _, a := range f.Algorithms {
-			lists = append(lists, s.byAlg[a])
-		}
-		consider(narrow(lists))
-	}
-	if len(f.Sizes) > 0 {
-		lists := make([][]int, 0, len(f.Sizes))
-		for _, sz := range f.Sizes {
-			lists = append(lists, s.bySize[sz])
-		}
-		consider(narrow(lists))
-	}
-	if len(f.Statuses) > 0 {
-		lists := make([][]int, 0, len(f.Statuses))
-		for _, st := range f.Statuses {
-			lists = append(lists, s.byStatus[st])
-		}
-		consider(narrow(lists))
-	}
-	if len(f.Models) > 0 {
-		lists := make([][]int, 0, len(f.Models))
-		for _, m := range f.Models {
-			lists = append(lists, s.byModel[behavior.EffectiveModel(m)])
-		}
-		consider(narrow(lists))
-	}
-	if candidates == nil {
-		// Only an alpha restriction: scan.
-		candidates = make([]int, len(s.Records))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	}
-	out := make([]int, 0, len(candidates))
-	for _, i := range candidates {
-		if s.matches(i, f) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (s *Snapshot) matches(i int, f Filter) bool {
-	return f.Matches(&s.Records[i])
-}
+func (s *Snapshot) Select(f Filter) []int { return s.ix.Select(f, false) }
 
 // Matches reports whether rec satisfies the filter — the single
-// predicate shared by snapshot queries and the shard tier's scattered
-// partial selects, so a distributed query can never diverge from a
-// single-store scan.
+// predicate behind every Index query, whole-corpus or shard partition.
 func (f Filter) Matches(rec *Record) bool {
 	if len(f.Algorithms) > 0 && !containsString(f.Algorithms, rec.Algorithm) {
 		return false
@@ -413,21 +319,6 @@ func (f Filter) Matches(rec *Record) bool {
 	return true
 }
 
-// PoolMember reports whether rec belongs to the §5.2 ensemble-design
-// pool: a measured graph-varying run. Shared with the shard tier so
-// scattered candidate sets agree exactly with PoolSelect.
-func PoolMember(rec *Record) bool {
-	if rec.Status != behavior.StatusOK || rec.Run == nil {
-		return false
-	}
-	for _, a := range report.GraphVaryingAlgorithms {
-		if a == rec.Algorithm {
-			return true
-		}
-	}
-	return false
-}
-
 func containsString(set []string, v string) bool {
 	for _, s := range set {
 		if s == v {
@@ -438,25 +329,23 @@ func containsString(set []string, v string) bool {
 }
 
 // PoolSelect returns the Pool indices whose records match the filter's
-// algorithm/size/alpha restrictions (status is implicitly ok — only
-// measured runs enter the pool).
+// algorithm/size/alpha/model restrictions (status is implicitly ok —
+// only measured runs enter the pool).
 func (s *Snapshot) PoolSelect(f Filter) []int {
-	if s.Pool == nil {
-		return nil
-	}
-	f.Statuses = nil
-	var out []int
-	for pi, ri := range s.poolRec {
-		if s.matches(ri, f) {
-			out = append(out, pi)
-		}
+	out := s.ix.Select(f, true)
+	for j, i := range out {
+		out[j] = s.ix.PoolOf(i)
 	}
 	return out
 }
 
+// PoolIndexOf returns the Pool index of record i, or -1 when the record
+// is not a pool member (or i is out of range).
+func (s *Snapshot) PoolIndexOf(recIdx int) int { return s.ix.PoolOf(recIdx) }
+
 // PoolRecord maps a Pool index back to its record.
 func (s *Snapshot) PoolRecord(poolIdx int) *Record {
-	return &s.Records[s.poolRec[poolIdx]]
+	return &s.Records[s.ix.pool[poolIdx]]
 }
 
 // SpaceRecord maps a Space index back to its record.
@@ -467,19 +356,17 @@ func (s *Snapshot) SpaceRecord(spaceIdx int) *Record {
 // SpaceIndexOf returns the Space index of record i, or -1 when the record
 // carries no measurement.
 func (s *Snapshot) SpaceIndexOf(recIdx int) int {
-	for si, ri := range s.spaceRec {
-		if ri == recIdx {
-			return si
-		}
+	if recIdx < 0 || recIdx >= len(s.spaceOf) {
+		return -1
 	}
-	return -1
+	return s.spaceOf[recIdx]
 }
 
 // OKCount returns the number of measured runs.
 func (s *Snapshot) OKCount() int { return len(s.spaceRec) }
 
 // PoolSize returns the ensemble-design pool size.
-func (s *Snapshot) PoolSize() int { return len(s.poolRec) }
+func (s *Snapshot) PoolSize() int { return s.ix.PoolSize() }
 
 // Predictor returns the snapshot's behavior predictor, built once from
 // the ok runs on first use.
@@ -530,14 +417,7 @@ func (s *Snapshot) PredictorFor(model string) (*predict.Predictor, error) {
 
 // Models returns the distinct effective execution models present in the
 // snapshot, sorted ("gas" covers untagged pre-model-axis records).
-func (s *Snapshot) Models() []string {
-	out := make([]string, 0, len(s.byModel))
-	for m := range s.byModel {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Snapshot) Models() []string { return s.ix.Models() }
 
 // Store publishes corpus snapshots to concurrent readers with atomic
 // swap semantics. The zero value is not usable; construct with NewStore.
@@ -573,13 +453,22 @@ func (st *Store) Swap(snap *Snapshot) *Snapshot {
 // source file that shrank to zero bytes (a partial rewrite caught
 // mid-flight) is rejected and the current snapshot stays published.
 func (st *Store) Reload() (*Snapshot, error) {
+	return st.publish(func(cur *Snapshot) (*Snapshot, error) { return Reread(cur) })
+}
+
+// Append publishes the grown corpus Extend builds from the current
+// snapshot. The swap is atomic: readers holding the previous snapshot
+// finish against a consistent view, and concurrent Append/Reload
+// publishers are serialized so no appended run is lost.
+func (st *Store) Append(runs []*behavior.Run, from string) (*Snapshot, error) {
+	return st.publish(func(cur *Snapshot) (*Snapshot, error) { return Extend(cur, runs, from) })
+}
+
+// publish swaps in next(current snapshot) under the publisher lock.
+func (st *Store) publish(next func(*Snapshot) (*Snapshot, error)) (*Snapshot, error) {
 	st.pubMu.Lock()
 	defer st.pubMu.Unlock()
-	cur := st.Snapshot()
-	if cur == nil || cur.Source == "" {
-		return nil, fmt.Errorf("corpus: store has no reloadable source")
-	}
-	snap, err := LoadFile(cur.Source)
+	snap, err := next(st.Snapshot())
 	if err != nil {
 		return nil, err
 	}
@@ -587,35 +476,37 @@ func (st *Store) Reload() (*Snapshot, error) {
 	return snap, nil
 }
 
-// Append publishes a grown corpus: the current snapshot's records plus
-// one ok record per new measured run, rebuilt and re-indexed as a fresh
-// snapshot. Rebuilding runs the snapshot's normalization from scratch,
-// so the paper's max-normalization invariant — every behavior dimension
-// ≤ 1.0 across the whole collection (§3.4) — holds however far the
-// corpus grows: a new run that raises a dimension's maximum rescales
-// every older point, it does not escape the unit cube.
-//
-// The swap is atomic: readers holding the previous snapshot finish
-// against a consistent view, and concurrent Append/Reload publishers
-// are serialized so no appended run is lost. from names where the runs
-// came from (e.g. a job ID) for the snapshot's Source annotation.
-func (st *Store) Append(runs []*behavior.Run, from string) (*Snapshot, error) {
+// Reread loads cur's source file afresh: the one reload rule behind both
+// Store.Reload and the shard tier's cluster reload.
+func Reread(cur *Snapshot) (*Snapshot, error) {
+	if cur == nil || cur.Source == "" {
+		return nil, fmt.Errorf("corpus: no reloadable source")
+	}
+	return LoadFile(cur.Source)
+}
+
+// Extend builds the grown corpus: cur's records plus one ok record per
+// new measured run, re-keyed and re-indexed as a fresh, unpublished
+// snapshot. It is the one append rule behind both Store.Append and the
+// shard tier's cluster append. Rebuilding runs the snapshot's
+// normalization from scratch, so the paper's max-normalization
+// invariant — every behavior dimension ≤ 1.0 across the whole
+// collection (§3.4) — holds however far the corpus grows: a new run
+// that raises a dimension's maximum rescales every older point, it does
+// not escape the unit cube. Keys of cur's records are stable (collision
+// suffixes depend only on records before them). from names where the
+// runs came from (e.g. a job ID) for the snapshot's Source annotation.
+func Extend(cur *Snapshot, runs []*behavior.Run, from string) (*Snapshot, error) {
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("corpus: nothing to append")
 	}
-	st.pubMu.Lock()
-	defer st.pubMu.Unlock()
-	cur := st.Snapshot()
 	if cur == nil {
-		return nil, fmt.Errorf("corpus: store has no published snapshot")
+		return nil, fmt.Errorf("corpus: no published snapshot to append to")
 	}
 	records := make([]Record, 0, len(cur.Records)+len(runs))
 	records = append(records, cur.Records...)
 	for _, r := range runs {
-		records = append(records, Record{
-			Run: r, Status: behavior.StatusOK,
-			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
-		})
+		records = append(records, okRecord(r))
 	}
 	source := cur.Source
 	if source == "" {
@@ -625,6 +516,5 @@ func (st *Store) Append(runs []*behavior.Run, from string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: appending %d runs from %s: %w", len(runs), from, err)
 	}
-	st.Swap(snap)
 	return snap, nil
 }

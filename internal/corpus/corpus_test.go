@@ -117,6 +117,7 @@ func TestSelectFilters(t *testing.T) {
 		{"status failed", Filter{Statuses: []behavior.RunStatus{behavior.StatusFailed}}, nil},
 		{"no match", Filter{Algorithms: []string{"SSSP"}}, nil},
 		{"alpha tolerance", Filter{Alphas: []float64{2.5 + 1e-12}}, []int{0, 2}},
+		{"repeated value", Filter{Algorithms: []string{"PR", "PR"}}, []int{0, 1}},
 	}
 	for _, c := range cases {
 		got := snap.Select(c.f)

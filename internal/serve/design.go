@@ -130,18 +130,17 @@ func dedupStrings(in []string) []string {
 	return out
 }
 
-// cacheKey renders the canonical request identity. The corpus version
-// tag prefixes the key — the store's scalar version, or the cluster's
-// shard version vector — so a publish naturally invalidates every
-// cached design whose inputs could have changed without racing
-// in-flight requests on the old snapshot.
-func (req *designRequest) cacheKey(versionTag string) string {
+// cacheKey renders the canonical request identity. The cluster's shard
+// version vector prefixes the key, so a publish naturally invalidates
+// every cached design whose inputs could have changed without racing
+// in-flight requests on the old snapshot — the server's one cache rule.
+func (req *designRequest) cacheKey(vv string) string {
 	alphas := make([]string, len(req.Pool.Alphas))
 	for i, a := range req.Pool.Alphas {
 		alphas[i] = strconv.FormatFloat(a, 'g', -1, 64)
 	}
-	return fmt.Sprintf("%s|metric=%s|method=%s|n=%d|seed=%d|steps=%d|algs=%s|sizes=%s|alphas=%s|models=%s",
-		versionTag, req.Metric, req.Method, req.N, req.Seed, req.Steps,
+	return fmt.Sprintf("vv%s|metric=%s|method=%s|n=%d|seed=%d|steps=%d|algs=%s|sizes=%s|alphas=%s|models=%s",
+		vv, req.Metric, req.Method, req.N, req.Seed, req.Steps,
 		strings.Join(req.Pool.Algorithms, ","),
 		strings.Join(req.Pool.Sizes, ","),
 		strings.Join(alphas, ","),
@@ -168,16 +167,34 @@ type designResponse struct {
 	Members       []runSummary `json:"members"`
 }
 
+// maxDesignBody bounds a POST /api/ensemble/design body; a real request
+// is well under 1 KB.
+const maxDesignBody = 64 << 10
+
 // handleDesign serves POST /api/ensemble/design.
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	var req designRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_request", "decoding body: %v", err)
+	if !decodeBody(w, r, maxDesignBody, &req) {
 		return
 	}
 	s.serveDesign(w, r, &req)
+}
+
+// decodeBody strictly decodes a JSON request body of at most limit
+// bytes into v, answering 400 (malformed) or 413 (oversize) itself.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", limit)
+	default:
+		writeError(w, http.StatusBadRequest, "invalid_request", "decoding body: %v", err)
+	}
+	return false
 }
 
 // handleBest serves GET /api/ensemble/best: the canonical best ensemble
@@ -197,35 +214,41 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	s.serveDesign(w, r, &req)
 }
 
-// serveDesign is the shared cache → singleflight → worker-pool → search
-// path behind both design endpoints. In cluster mode the candidate pool
-// is assembled by scatter-gather — each shard contributes the matching
+// serveDesign is the shared cache → scatter → singleflight → worker-pool
+// → search path behind both design endpoints. The candidate pool is
+// assembled by scatter-gather — each shard contributes the matching
 // pool members from its own partition, and the merge maps them back to
-// the merged view's pool indices — before the search finalizes with the
-// same scorers the single-store path uses.
+// the merged view's pool indices. A cache hit skips the scatter: a body
+// is cached only after its request passed the pool checks against the
+// same version vector, so they would pass again.
 func (s *Server) serveDesign(w http.ResponseWriter, r *http.Request, req *designRequest) {
 	if err := req.normalize(); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", "%v", err)
 		return
 	}
-	snap, view, ok := s.currentCorpus(w)
+	view, ok := s.currentCorpus(w)
 	if !ok {
 		return
 	}
-	var poolIdx []int
-	if view != nil {
-		seqs, err := s.cluster.Scatter(r.Context(), req.filter(), true)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
-			return
+	key := req.cacheKey(view.VVString())
+	if body, ok := s.cache.Get(key); ok {
+		s.mCacheHit.Inc()
+		reqInfoFrom(r.Context()).setCache("hit")
+		s.writeDesignBody(w, body, "hit")
+		return
+	}
+	snap := view.Merged
+	seqs, err := s.cluster.Scatter(r.Context(), req.filter(), true)
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, "shard_unavailable", "%v", err)
+		return
+	}
+	seqs = clampSeqs(seqs, len(snap.Records))
+	poolIdx := make([]int, 0, len(seqs))
+	for _, seq := range seqs {
+		if pi := snap.PoolIndexOf(seq); pi >= 0 {
+			poolIdx = append(poolIdx, pi)
 		}
-		for _, seq := range clampSeqs(seqs, len(snap.Records)) {
-			if pi := view.PoolIndexOfSeq(seq); pi >= 0 {
-				poolIdx = append(poolIdx, pi)
-			}
-		}
-	} else {
-		poolIdx = snap.PoolSelect(req.filter())
 	}
 	if len(poolIdx) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_pool",
@@ -235,14 +258,6 @@ func (s *Server) serveDesign(w http.ResponseWriter, r *http.Request, req *design
 	if req.N > len(poolIdx) {
 		writeError(w, http.StatusBadRequest, "invalid_request",
 			"n = %d exceeds the restricted pool's %d runs", req.N, len(poolIdx))
-		return
-	}
-
-	key := req.cacheKey(s.versionTag(snap, view))
-	if body, ok := s.cache.Get(key); ok {
-		s.mCacheHit.Inc()
-		reqInfoFrom(r.Context()).setCache("hit")
-		s.writeDesignBody(w, body, "hit")
 		return
 	}
 	s.mCacheMiss.Inc()

@@ -3,9 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -110,26 +115,6 @@ func differentialCalls(t testing.TB) []apiCall {
 	return calls
 }
 
-// assertIdentical replays every call against the reference and candidate
-// servers and requires byte-identical bodies.
-func assertIdentical(t *testing.T, phase string, ref, cand *Server, candName string, calls []apiCall) {
-	t.Helper()
-	for _, c := range calls {
-		wr, wc := c.issue(t, ref), c.issue(t, cand)
-		if wr.Code != http.StatusOK {
-			t.Fatalf("%s: %s: reference status %d: %s", phase, c.name, wr.Code, wr.Body.String())
-		}
-		if wc.Code != wr.Code {
-			t.Errorf("%s: %s: %s status %d, reference %d", phase, c.name, candName, wc.Code, wr.Code)
-			continue
-		}
-		if !bytes.Equal(wr.Body.Bytes(), wc.Body.Bytes()) {
-			t.Errorf("%s: %s: %s body diverges from single-store\nreference: %s\n%s: %s",
-				phase, c.name, candName, firstDiff(wr.Body.Bytes(), wc.Body.Bytes()), candName, wc.Body.String()[:min(400, wc.Body.Len())])
-		}
-	}
-}
-
 // firstDiff renders the context around the first differing byte.
 func firstDiff(a, b []byte) string {
 	n := min(len(a), len(b))
@@ -176,21 +161,22 @@ func dominatedRuns(t testing.TB, n int) []*behavior.Run {
 	return runs
 }
 
-// TestDifferentialShardedServe is the PR's central guarantee: the same
-// request set answered by a single-store server, a 1-shard cluster and a
-// 4-shard × 2-replica cluster produces byte-identical JSON — before a
-// hot publish, while concurrent readers race one, and after it settles.
+// TestDifferentialShardedServe is the serving tier's central guarantee:
+// the same request set answered by a single-store server (a 1×1
+// cluster) and a 4-shard × 2-replica cluster matches the frozen
+// single-store goldens byte for byte — before a hot publish, while
+// concurrent readers race one, and after it settles.
 func TestDifferentialShardedServe(t *testing.T) {
 	single := newTestServer(t, nil)
-	one := clusterOverStandard(t, 1, 1)
 	four := clusterOverStandard(t, 4, 2)
+	deployments := map[string]*Server{"single-store": single, "cluster(4x2)": four}
 	calls := differentialCalls(t)
-
-	assertIdentical(t, "initial", single, one, "cluster(1x1)", calls)
-	assertIdentical(t, "initial", single, four, "cluster(4x2)", calls)
+	for name, s := range deployments {
+		assertGolden(t, "initial", s, name, calls)
+	}
 
 	// Hot publish under concurrent reads: hammer the 4-shard cluster's
-	// read endpoints while the same run batch is appended to all three
+	// read endpoints while the same run batch is appended to both
 	// deployments through the jobs publish sink. The race detector
 	// validates the lock-free read path; every in-flight response must
 	// still be a complete, consistent snapshot answer (HTTP 200).
@@ -220,7 +206,7 @@ func TestDifferentialShardedServe(t *testing.T) {
 		}(w)
 	}
 	runs := dominatedRuns(t, 3)
-	for _, s := range []*Server{single, one, four} {
+	for _, s := range deployments {
 		if _, err := s.publishRuns("diff-job", runs); err != nil {
 			t.Fatal(err)
 		}
@@ -228,27 +214,97 @@ func TestDifferentialShardedServe(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Settled: replay the full set again; the appended records are now
-	// part of every deployment's corpus and the answers must re-converge
-	// byte for byte (corpusVersion advanced identically to 2 everywhere).
-	assertIdentical(t, "after publish", single, one, "cluster(1x1)", calls)
-	assertIdentical(t, "after publish", single, four, "cluster(4x2)", calls)
+	// Settled: replay the full set again, plus reads of the appended
+	// records themselves (served via their owning shards); corpusVersion
+	// advanced to 2 everywhere.
+	for name, s := range deployments {
+		assertGolden(t, "published", s, name, append(calls, appendedCalls()...))
+	}
+}
 
-	// The appended records themselves serve identically, via their owning
-	// shards.
-	post := []apiCall{
-		{
-			name:   "appended behavior",
-			method: http.MethodGet,
-			path:   "/api/behavior/" + corpus.KeyOf("PR", "7e1", 2.05),
-		},
-		{
-			name:   "appended model behavior",
-			method: http.MethodGet,
-			path:   "/api/behavior/" + corpus.KeyOfModel("pregel", "PR", "7m", 2.05),
-		},
+// diffGoldenDir holds the frozen reference bodies every deployment is
+// compared against: one file per distinct body, named by a prefix of
+// its SHA-256, plus index.json mapping phase → call name → file. The
+// bodies were recorded from the standalone single-store server before
+// that server became a 1×1 cluster, so they are an independent
+// reference rather than the output of the code under test.
+const diffGoldenDir = "testdata/differential"
+
+// appendedCalls reads the records dominatedRuns publishes.
+func appendedCalls() []apiCall {
+	return []apiCall{
+		{name: "appended behavior", method: http.MethodGet, path: "/api/behavior/" + corpus.KeyOf("PR", "7e1", 2.05)},
+		{name: "appended model behavior", method: http.MethodGet, path: "/api/behavior/" + corpus.KeyOfModel("pregel", "PR", "7m", 2.05)},
 		{name: "appended model runs", method: http.MethodGet, path: "/api/runs?model=pregel"},
 		{name: "appended model predict", method: http.MethodGet, path: "/api/predict?algorithm=PR&edges=9000&alpha=2.05&model=pregel"},
 	}
-	assertIdentical(t, "after publish", single, four, "cluster(4x2)", post)
+}
+
+func loadGoldenIndex(t testing.TB) map[string]map[string]string {
+	t.Helper()
+	idx := map[string]map[string]string{}
+	b, err := os.ReadFile(filepath.Join(diffGoldenDir, "index.json"))
+	if err != nil {
+		if *updateGolden && os.IsNotExist(err) {
+			return idx
+		}
+		t.Fatalf("missing differential goldens: %v", err)
+	}
+	if err := json.Unmarshal(b, &idx); err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// assertGolden replays calls against s and requires every body to equal
+// the phase's frozen golden byte for byte. With -update it records s's
+// bodies as the new goldens instead.
+func assertGolden(t *testing.T, phase string, s *Server, deployment string, calls []apiCall) {
+	t.Helper()
+	idx := loadGoldenIndex(t)
+	if *updateGolden {
+		if err := os.MkdirAll(diffGoldenDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if idx[phase] == nil {
+			idx[phase] = map[string]string{}
+		}
+	}
+	for _, c := range calls {
+		w := c.issue(t, s)
+		if w.Code != http.StatusOK {
+			t.Errorf("%s: %s: %s status %d: %s", phase, c.name, deployment, w.Code, w.Body.String())
+			continue
+		}
+		if *updateGolden {
+			sum := sha256.Sum256(w.Body.Bytes())
+			name := hex.EncodeToString(sum[:8]) + ".json"
+			if err := os.WriteFile(filepath.Join(diffGoldenDir, name), w.Body.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			idx[phase][c.name] = name
+			continue
+		}
+		file, ok := idx[phase][c.name]
+		if !ok {
+			t.Fatalf("%s: %s: no golden recorded", phase, c.name)
+		}
+		want, err := os.ReadFile(filepath.Join(diffGoldenDir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, w.Body.Bytes()) {
+			t.Errorf("%s: %s: %s body diverges from the single-store golden %s\ngolden: %s\n%s: %s",
+				phase, c.name, deployment, file, firstDiff(want, w.Body.Bytes()), deployment, clip(w.Body.Bytes(), 400))
+		}
+	}
+	if *updateGolden {
+		b, err := json.MarshalIndent(idx, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(diffGoldenDir, "index.json"), append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -15,8 +15,8 @@ import (
 	"gcbench/internal/predict"
 )
 
-// This file is the ISSUE's race-enabled index-consistency test: while
-// Store.Append publishes renormalized corpus versions (each appended run
+// This file is the race-enabled index-consistency test: while the
+// server's cluster publishes renormalized corpus versions (each appended run
 // raises behavior maxima, rescaling every older vector and rebuilding
 // the per-snapshot predictor index), concurrent /api/predict and
 // coverage design queries must never observe a mixed old/new view.
@@ -52,7 +52,7 @@ func TestIndexConsistencyAcrossAppendRace(t *testing.T) {
 	// Version → immutable snapshot, recorded by the appender as each
 	// publication returns. Version 1 is the initial snapshot.
 	var snapMu sync.Mutex
-	snapshots := map[int64]*corpus.Snapshot{1: s.store.Snapshot()}
+	snapshots := map[int64]*corpus.Snapshot{1: s.cluster.View().Merged}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -61,13 +61,13 @@ func TestIndexConsistencyAcrossAppendRace(t *testing.T) {
 		defer wg.Done()
 		defer close(done)
 		for v := 0; v < appends; v++ {
-			snap, err := s.store.Append([]*behavior.Run{appendRun(v)}, "race-test")
+			view, err := s.cluster.Append(context.Background(), []*behavior.Run{appendRun(v)}, "race-test")
 			if err != nil {
 				t.Errorf("append %d: %v", v, err)
 				return
 			}
 			snapMu.Lock()
-			snapshots[snap.Version] = snap
+			snapshots[view.Epoch()] = view.Merged
 			snapMu.Unlock()
 			// Give clients a beat on each version so responses genuinely
 			// span several publications.

@@ -32,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,19 +45,22 @@ import (
 	"gcbench/internal/shard"
 )
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. Exactly one of Store and Cluster must
+// be set: every deployment is served through the shard tier, and a
+// single store is simply its 1×1 case.
 type Config struct {
-	// Store supplies corpus snapshots. Exactly one of Store and Cluster
-	// must be set.
+	// Store seeds a single-store deployment: New reads the store's
+	// current snapshot once and serves it as a 1-shard, 1-replica
+	// in-process cluster. The store itself is not consulted again;
+	// publishes and reloads go to that cluster.
 	Store *corpus.Store
-	// Cluster, when non-nil, serves the API from the sharded, replicated
-	// corpus tier instead of a single store: listings and design
-	// candidate selection scatter-gather across the shards, single-record
-	// reads route to the key's owning shard, and completed campaign runs
-	// hot-publish to only the shards that own them. Responses are
-	// bit-identical to the Store path for any shard/replica count — the
-	// cluster's merged view is rebuilt through the same internal/corpus
-	// constructors (see internal/shard).
+	// Cluster serves the API from a sharded, replicated corpus tier:
+	// listings and design candidate selection scatter-gather across the
+	// shards, single-record reads route to the key's owning shard, and
+	// completed campaign runs hot-publish to only the shards that own
+	// them. Responses are bit-identical for any shard/replica count —
+	// the cluster's merged view is rebuilt through the same
+	// internal/corpus constructors (see internal/shard).
 	Cluster *shard.Cluster
 	// Samples sizes the shared Monte-Carlo coverage estimator
 	// (default ensemble.DefaultSamples, the paper's 10^6).
@@ -80,8 +84,8 @@ type Config struct {
 	// (POST /api/campaigns, GET /api/jobs[/{id}[/events]],
 	// DELETE /api/jobs/{id}) over this manager. The server installs
 	// itself as the manager's publish sink: a completed job's runs are
-	// appended to Store (renormalized corpus-wide) and the design cache
-	// is purged, so new runs are servable without a restart.
+	// appended to the cluster (renormalized corpus-wide), so new runs are
+	// servable without a restart.
 	Jobs *jobs.Manager
 	// JobsHeartbeat is the NDJSON event-stream keepalive interval
 	// (default 15s).
@@ -103,7 +107,6 @@ type Config struct {
 // zero value is not usable.
 type Server struct {
 	cfg     Config
-	store   *corpus.Store
 	cluster *shard.Cluster
 	reg     *obs.Registry
 
@@ -191,10 +194,16 @@ func New(cfg Config) (*Server, error) {
 		cfg.JobsHeartbeat = 15 * time.Second
 	}
 	reg := cfg.Registry
+	cluster := cfg.Cluster
+	if cfg.Store != nil {
+		var err error
+		if cluster, err = singleStoreCluster(cfg.Store, reg); err != nil {
+			return nil, err
+		}
+	}
 	s := &Server{
 		cfg:     cfg,
-		store:   cfg.Store,
-		cluster: cfg.Cluster,
+		cluster: cluster,
 		reg:     reg,
 		cache:   newLRUCache(cfg.CacheSize),
 		flight:  newFlightGroup(),
@@ -249,50 +258,37 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// corpusView returns the server's current global corpus state: the
-// store's snapshot with a nil view in single-store mode, or the shard
-// cluster's merged snapshot plus the view it belongs to. Handlers load
-// it once and use it for the whole request, so a concurrent publish
-// never gives one request two corpus versions. A nil snapshot means
-// nothing is published yet (a cluster before Load).
-func (s *Server) corpusView() (*corpus.Snapshot, *shard.View) {
-	if s.cluster != nil {
-		v := s.cluster.View()
-		if v == nil {
-			return nil, nil
-		}
-		return v.Merged, v
+// singleStoreCluster seeds a 1×1 in-process cluster from the store's
+// current snapshot. The cluster gets its own record copy, since a
+// cluster numbers and owns the snapshot it serves, and the store's
+// snapshot stays untouched for whoever else holds it.
+func singleStoreCluster(st *corpus.Store, reg *obs.Registry) (*shard.Cluster, error) {
+	cur := st.Snapshot()
+	if cur == nil {
+		return nil, fmt.Errorf("serve: Config.Store has no published snapshot")
 	}
-	return s.store.Snapshot(), nil
+	snap, err := corpus.NewSnapshotFromRecords(slices.Clone(cur.Records), cur.Source)
+	if err != nil {
+		return nil, err
+	}
+	snap.LoadedAt = cur.LoadedAt
+	c, err := shard.New(shard.Options{Shards: 1, Replicas: 1, Registry: reg})
+	if err != nil {
+		return nil, err
+	}
+	if _, err := c.Load(context.Background(), snap); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// versionTag renders the corpus identity that prefixes every cache key:
-// the single store's scalar version, or the cluster's full shard
-// version vector — so a publish to one shard leaves cache entries built
-// from every unchanged shard's data addressable, while any entry whose
-// inputs could have changed gets a fresh key.
-func (s *Server) versionTag(snap *corpus.Snapshot, view *shard.View) string {
-	if view != nil {
-		return "vv" + view.VVString()
-	}
-	return fmt.Sprintf("v%d", snap.Version)
-}
-
-// readiness backs /readyz. A single-store server is ready once its
-// store has a snapshot; a cluster server is ready only when every shard
-// has published at least one corpus version — before that, scattered
-// queries would fail on the unpublished shards, so the probe keeps
-// traffic away instead of letting it 5xx.
+// readiness backs /readyz: ready only when every shard has published at
+// least one corpus version — before that, scattered queries would fail
+// on the unpublished shards, so the probe keeps traffic away instead of
+// letting it 5xx.
 func (s *Server) readiness() (bool, any) {
-	if s.cluster != nil {
-		ready, infos := s.cluster.Ready(context.Background())
-		return ready, map[string]any{"shards": infos}
-	}
-	snap := s.store.Snapshot()
-	if snap == nil {
-		return false, nil
-	}
-	return true, map[string]any{"corpusVersion": snap.Version}
+	ready, infos := s.cluster.Ready(context.Background())
+	return ready, map[string]any{"shards": infos}
 }
 
 // estimator returns the shared coverage estimator, building it on first
@@ -438,7 +434,10 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // Status is the /statusz payload: a cheap point-in-time snapshot of the
 // serving state.
 func (s *Server) Status() map[string]any {
-	snap, view := s.corpusView()
+	sh := map[string]any{
+		"count":    s.cluster.Shards(),
+		"replicas": s.cluster.Replicas(),
+	}
 	st := map[string]any{
 		"service":       "gcbench-serve",
 		"uptimeSeconds": time.Since(s.start).Seconds(),
@@ -448,24 +447,7 @@ func (s *Server) Status() map[string]any {
 		"workers":       s.cfg.Workers,
 		"queueDepth":    s.cfg.QueueDepth,
 		"searches":      s.searches.Load(),
-	}
-	if snap != nil {
-		st["corpusVersion"] = snap.Version
-		st["corpusSource"] = snap.Source
-		st["records"] = len(snap.Records)
-		st["okRuns"] = snap.OKCount()
-		st["poolSize"] = snap.PoolSize()
-	}
-	if s.cluster != nil {
-		sh := map[string]any{
-			"count":    s.cluster.Shards(),
-			"replicas": s.cluster.Replicas(),
-		}
-		if view != nil {
-			sh["versionVector"] = view.VVString()
-			sh["normEpoch"] = view.NormEpoch
-		}
-		st["shards"] = sh
+		"shards":        sh,
 	}
 	if s.cfg.Jobs != nil {
 		byState := map[jobs.State]int{}
@@ -474,6 +456,19 @@ func (s *Server) Status() map[string]any {
 		}
 		st["jobs"] = byState
 	}
+	view := s.cluster.View()
+	if view == nil {
+		// Nothing published yet; /readyz reports which shards lag.
+		return st
+	}
+	snap := view.Merged
+	st["corpusVersion"] = snap.Version
+	st["corpusSource"] = snap.Source
+	st["records"] = len(snap.Records)
+	st["okRuns"] = snap.OKCount()
+	st["poolSize"] = snap.PoolSize()
+	sh["versionVector"] = view.VVString()
+	sh["normEpoch"] = view.NormEpoch
 	return st
 }
 

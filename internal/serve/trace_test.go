@@ -100,11 +100,16 @@ func TestRequestTracing(t *testing.T) {
 		t.Fatalf("root span status attr = %v", attrs["status"])
 	}
 
-	// The first (miss) design trace carries the ensemble-search child.
+	// The first (miss) design trace carries the candidate scatter over
+	// the single shard, then the ensemble search.
 	tid1, _, _, _ := otrace.ParseTraceparent(w1.Header().Get("traceparent"))
 	tree = getTraceTree(t, s, tid1.String())
-	if len(tree.Tree[0].Children) != 1 || tree.Tree[0].Children[0].Name != "ensemble search" {
-		t.Fatalf("miss design trace children = %+v", tree.Tree[0].Children)
+	kids := tree.Tree[0].Children
+	if len(kids) != 2 || kids[0].Name != "scatter candidates" || kids[1].Name != "ensemble search" {
+		t.Fatalf("miss design trace children = %+v", kids)
+	}
+	if len(kids[0].Children) != 1 || kids[0].Children[0].Name != "shard 0 candidates" {
+		t.Fatalf("scatter children = %+v", kids[0].Children)
 	}
 }
 

@@ -172,19 +172,17 @@ func vvAdvancedOnly(t *testing.T, phase string, before, after []uint64, moved ma
 	}
 }
 
-// TestDifferentialWireProcesses extends the PR 8 differential guarantee
-// to the wire: the same request set answered by a single-store server
-// and by a cluster of 4 separate shard OS processes over TCP produces
-// byte-identical JSON — initially, after a hot publish, and (the
-// correctness heart of this PR) after one shard process is killed and
-// restart-rehydrated mid-campaign. Throughout, the version vector never
-// regresses and the cluster epoch (corpusVersion, embedded in every
-// body) never moves on restart.
+// TestDifferentialWireProcesses extends the differential guarantee to
+// the wire: a cluster of 4 separate shard OS processes over TCP answers
+// the request set byte-identically to the frozen single-store goldens —
+// initially, after a hot publish, and after one shard process is killed
+// and restart-rehydrated mid-campaign. Throughout, the version vector
+// never regresses and the cluster epoch (corpusVersion, embedded in
+// every body) never moves on restart.
 func TestDifferentialWireProcesses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real shard processes")
 	}
-	single := newTestServer(t, nil)
 	cluster, sup, restored := wireCluster(t, 4)
 	wire, err := New(Config{Cluster: cluster, Samples: 50_000, Registry: obs.NewRegistry()})
 	if err != nil {
@@ -192,20 +190,19 @@ func TestDifferentialWireProcesses(t *testing.T) {
 	}
 	calls := differentialCalls(t)
 
-	assertIdentical(t, "wire initial", single, wire, "cluster(4 procs)", calls)
+	const name = "cluster(4 procs)"
+	assertGolden(t, "initial", wire, name, calls)
 	vv0 := append([]uint64(nil), cluster.View().VV...)
 	epoch0 := cluster.View().Epoch()
 
-	// Hot publish across the wire: both deployments append the same runs
-	// through the jobs publish sink; bodies must re-converge and every
-	// shard's version must advance in lockstep (uniform fence).
-	runs := dominatedRuns(t, 3)
-	for _, s := range []*Server{single, wire} {
-		if _, err := s.publishRuns("wire-diff-job", runs); err != nil {
-			t.Fatal(err)
-		}
+	// Hot publish across the wire through the jobs publish sink; bodies
+	// must match the published goldens and the version vector advance
+	// monotonically.
+	if _, err := wire.publishRuns("wire-diff-job", dominatedRuns(t, 3)); err != nil {
+		t.Fatal(err)
 	}
-	assertIdentical(t, "wire after publish", single, wire, "cluster(4 procs)", calls)
+	published := append(calls, appendedCalls()...)
+	assertGolden(t, "published", wire, name, published)
 	vv1 := append([]uint64(nil), cluster.View().VV...)
 	vvAdvancedOnly(t, "publish", vv0, vv1, nil)
 	if got := cluster.View().Epoch(); got != epoch0+1 {
@@ -238,14 +235,8 @@ func TestDifferentialWireProcesses(t *testing.T) {
 	}
 
 	// The whole request set — including the hot-published records owned
-	// by the restarted shard — still answers byte-identically to the
-	// single store.
-	post := append(calls, apiCall{
-		name:   "appended behavior after restart",
-		method: http.MethodGet,
-		path:   "/api/behavior/" + corpus.KeyOf("PR", "7e1", 2.05),
-	})
-	assertIdentical(t, "wire after restart", single, wire, "cluster(4 procs)", post)
+	// by the restarted shard — still matches the published goldens.
+	assertGolden(t, "published", wire, name+" after restart", published)
 
 	// Readiness reflects the restored fleet.
 	if ready, _ := wire.readiness(); !ready {
@@ -258,7 +249,7 @@ func TestDifferentialWireProcesses(t *testing.T) {
 // endpoints — the transport is real HTTP, only the processes are
 // shared) and concurrent readers hammering the API, killing one replica
 // of one shard mid-stream leaves every read answering 200 with
-// single-store-identical bodies, while /readyz flips to degraded until
+// golden-identical bodies, while /readyz flips to degraded until
 // the replica returns. Run under -race: the failover rotation, the
 // Down-count aggregation and the readers all share the ReplicaSet.
 func TestReplicaFailoverUnderLoad(t *testing.T) {
@@ -268,7 +259,7 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	// killable[s][r] closes replica r of shard s.
 	killable := make([][]*httptest.Server, shards)
 	for s := 0; s < shards; s++ {
-		local := shard.NewLocalShard(s, 1, corpus.PoolMember)
+		local := shard.NewLocalShard(s, 1)
 		var reps []shard.ShardClient
 		for r := 0; r < replicas; r++ {
 			// Both replica endpoints front the same LocalShard so their
@@ -299,7 +290,6 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	if _, err := cluster.Load(context.Background(), snap); err != nil {
 		t.Fatal(err)
 	}
-	single := newTestServer(t, nil)
 	srv, err := New(Config{Cluster: cluster, Samples: 50_000, Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +331,7 @@ func TestReplicaFailoverUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	// Reads survive, bodies stay identical, readiness reports degraded.
-	assertIdentical(t, "one replica down", single, srv, "cluster(2x2 wire)", differentialCalls(t))
+	assertGolden(t, "initial", srv, "cluster(2x2 wire, one replica down)", differentialCalls(t))
 	ready, detail := srv.readiness()
 	if ready {
 		t.Errorf("readyz still green with a replica down: %v", detail)

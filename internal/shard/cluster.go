@@ -59,11 +59,26 @@ type View struct {
 	// BuiltAt is the view's construction time.
 	BuiltAt time.Time
 
-	// poolIdxBySeq maps a record's global sequence number to its index
-	// in Merged.Pool (-1 when the record is not a pool member).
-	poolIdxBySeq []int
+	// vv is VV rendered once by VVString.
+	vv string
 	// ownerBySeq maps a record's sequence number to its owning shard.
 	ownerBySeq []int
+}
+
+// newView assembles a view, rendering its version vector once.
+func newView(merged *corpus.Snapshot, vv []uint64, normEpoch int64, ownerBySeq []int) *View {
+	parts := make([]string, len(vv))
+	for i, ver := range vv {
+		parts[i] = strconv.FormatUint(ver, 10)
+	}
+	return &View{
+		Merged:     merged,
+		VV:         vv,
+		NormEpoch:  normEpoch,
+		BuiltAt:    time.Now(),
+		vv:         strings.Join(parts, "."),
+		ownerBySeq: ownerBySeq,
+	}
 }
 
 // Epoch returns the view's cluster epoch (Merged.Version): the number
@@ -75,28 +90,12 @@ func (v *View) Epoch() int64 { return v.Merged.Version }
 
 // VVString renders the version vector canonically ("3.1.4.2") — the
 // serving layer's cache-key component for whole-corpus responses.
-func (v *View) VVString() string {
-	parts := make([]string, len(v.VV))
-	for i, ver := range v.VV {
-		parts[i] = strconv.FormatUint(ver, 10)
-	}
-	return strings.Join(parts, ".")
-}
-
-// PoolIndexOfSeq maps a global sequence number to the merged pool index
-// (-1 when the record is not a pool member, or when seq is outside this
-// view — a caller racing a publish can hold a seq from a newer view
-// than the one it loaded, and must treat it as not-yet-visible rather
-// than panic).
-func (v *View) PoolIndexOfSeq(seq int) int {
-	if seq < 0 || seq >= len(v.poolIdxBySeq) {
-		return -1
-	}
-	return v.poolIdxBySeq[seq]
-}
+func (v *View) VVString() string { return v.vv }
 
 // OwnerOfSeq returns the shard owning the record at seq, or -1 when seq
-// is outside this view (see PoolIndexOfSeq).
+// is outside this view: a caller racing a publish can hold a seq from a
+// newer view than the one it loaded, and must treat it as
+// not-yet-visible rather than panic.
 func (v *View) OwnerOfSeq(seq int) int {
 	if seq < 0 || seq >= len(v.ownerBySeq) {
 		return -1
@@ -172,7 +171,7 @@ func New(opts Options) (*Cluster, error) {
 		c.shards = append(c.shards, opts.Clients...)
 	} else {
 		for i := 0; i < opts.Shards; i++ {
-			c.shards = append(c.shards, NewLocalShard(i, opts.Replicas, corpus.PoolMember))
+			c.shards = append(c.shards, NewLocalShard(i, opts.Replicas))
 		}
 	}
 	return c, nil
@@ -244,46 +243,25 @@ func (c *Cluster) replaceLocked(ctx context.Context, snap *corpus.Snapshot) (*Vi
 	return c.installView(ctx, snap)
 }
 
-// Append publishes a grown corpus: the merged view's records plus one
-// ok record per run, re-keyed and renormalized globally (the same
-// semantics as corpus.Store.Append — a new run that raises a dimension
-// maximum rescales every older point), with only the shards owning new
-// records republished. Unaffected shards keep serving their snapshots
-// untouched — appends propagate with per-shard publishes, never a
-// cluster-wide reader-blocking lock.
+// Append publishes a grown corpus built by corpus.Extend — the merged
+// view's records plus one ok record per run, re-keyed and renormalized
+// globally — with only the shards owning new records republished.
+// Unaffected shards keep serving their snapshots untouched — appends
+// propagate with per-shard publishes, never a cluster-wide
+// reader-blocking lock.
 func (c *Cluster) Append(ctx context.Context, runs []*behavior.Run, from string) (*View, error) {
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("shard: nothing to append")
-	}
 	c.pubMu.Lock()
 	defer c.pubMu.Unlock()
 	cur := c.View()
 	if cur == nil {
 		return nil, fmt.Errorf("shard: cluster has no published view")
 	}
-	old := cur.Merged
-	records := make([]corpus.Record, 0, len(old.Records)+len(runs))
-	records = append(records, old.Records...)
-	for _, r := range runs {
-		records = append(records, corpus.Record{
-			Run: r, Status: behavior.StatusOK,
-			Algorithm: r.Algorithm, SizeLabel: r.SizeLabel, Alpha: r.Alpha, Model: r.Model,
-		})
-	}
-	source := old.Source
-	if source == "" {
-		source = from
-	}
-	// Rebuild the merged snapshot through the shared constructor: keys
-	// of pre-existing records are stable (collision suffixes depend only
-	// on records loaded before them), new records get globally unique
-	// keys, and the whole corpus renormalizes in one pass.
-	merged, err := corpus.NewSnapshotFromRecords(records, source)
+	merged, err := corpus.Extend(cur.Merged, runs, from)
 	if err != nil {
-		return nil, fmt.Errorf("shard: appending %d runs from %s: %w", len(runs), from, err)
+		return nil, err
 	}
 	parts := make([][]Entry, len(c.shards))
-	for seq := len(old.Records); seq < len(merged.Records); seq++ {
+	for seq := len(cur.Merged.Records); seq < len(merged.Records); seq++ {
 		owner := c.ring.Owner(merged.Records[seq].Key)
 		parts[owner] = append(parts[owner], Entry{Seq: seq, Record: merged.Records[seq]})
 	}
@@ -297,16 +275,16 @@ func (c *Cluster) Append(ctx context.Context, runs []*behavior.Run, from string)
 	return c.installView(ctx, merged)
 }
 
-// Reload re-reads the merged view's source file and replaces every
-// partition with the fresh load.
+// Reload re-reads the merged view's source file (corpus.Reread) and
+// replaces every partition with the fresh load.
 func (c *Cluster) Reload(ctx context.Context) (*View, error) {
 	c.pubMu.Lock()
 	defer c.pubMu.Unlock()
 	cur := c.View()
-	if cur == nil || cur.Merged.Source == "" {
-		return nil, fmt.Errorf("shard: cluster has no reloadable source")
+	if cur == nil {
+		return nil, fmt.Errorf("shard: cluster has no published view")
 	}
-	snap, err := corpus.LoadFile(cur.Merged.Source)
+	snap, err := corpus.Reread(cur.Merged)
 	if err != nil {
 		return nil, err
 	}
@@ -387,26 +365,15 @@ func (c *Cluster) installView(ctx context.Context, merged *corpus.Snapshot) (*Vi
 		}
 		vv[i] = info.Version
 	}
-	v := &View{
-		Merged:       merged,
-		VV:           vv,
-		NormEpoch:    epoch,
-		BuiltAt:      time.Now(),
-		poolIdxBySeq: make([]int, len(merged.Records)),
-		ownerBySeq:   make([]int, len(merged.Records)),
+	owners := make([]int, len(merged.Records))
+	for seq := range owners {
+		owners[seq] = c.ring.Owner(merged.Records[seq].Key)
 	}
-	for seq := range v.poolIdxBySeq {
-		v.poolIdxBySeq[seq] = -1
-		v.ownerBySeq[seq] = c.ring.Owner(merged.Records[seq].Key)
-	}
-	for pi := 0; pi < merged.PoolSize(); pi++ {
-		if seq, ok := merged.Lookup(merged.PoolRecord(pi).Key); ok {
-			v.poolIdxBySeq[seq] = pi
-		}
-	}
+	normEpoch := epoch
 	if prev != nil && sameNormalization(prev.Merged, merged) {
-		v.NormEpoch = prev.NormEpoch
+		normEpoch = prev.NormEpoch
 	}
+	v := newView(merged, vv, normEpoch, owners)
 	c.view.Store(v)
 	return v, nil
 }
@@ -433,8 +400,11 @@ func (c *Cluster) Owner(key string) int { return c.ring.Owner(key) }
 // replica answers from its own snapshot).
 func (c *Cluster) Get(ctx context.Context, key string) (GetResponse, error) {
 	owner := c.ring.Owner(key)
-	ctx, sp := otrace.StartSpan(ctx, fmt.Sprintf("shard %d get", owner), "shard",
-		otrace.Int("shard", owner), otrace.String("key", key))
+	var sp *otrace.Span
+	if otrace.FromContext(ctx) != nil {
+		ctx, sp = otrace.StartSpan(ctx, "shard "+strconv.Itoa(owner)+" get", "shard",
+			otrace.Int("shard", owner), otrace.String("key", key))
+	}
 	begin := time.Now()
 	resp, err := c.shards[owner].Get(ctx, GetRequest{Key: key})
 	c.mShardLat.With(strconv.Itoa(owner), "get").Observe(time.Since(begin).Seconds())
@@ -446,49 +416,58 @@ func (c *Cluster) Get(ctx context.Context, key string) (GetResponse, error) {
 	return resp, err
 }
 
-// Scatter fans a filter out to every shard in parallel, gathers each
-// shard's partial result set, and merges them into one ascending
-// global sequence list — identical to the order a single-store scan
-// would produce. poolOnly restricts matches to ensemble-pool members
-// (the design search's candidate scatter).
+// Scatter fans a filter out to every shard, gathers each shard's partial
+// result set, and merges them into one ascending global sequence list —
+// identical to the order a whole-corpus select would produce. poolOnly
+// restricts matches to ensemble-pool members (the design search's
+// candidate scatter). Every leg but the first runs on its own
+// goroutine; the first runs on the caller's, so the fan-out spawns one
+// goroutine fewer than it has shards.
 func (c *Cluster) Scatter(ctx context.Context, f corpus.Filter, poolOnly bool) ([]int, error) {
 	c.mFanouts.Inc()
-	op := "select"
+	op, name := "select", "scatter select"
 	if poolOnly {
-		op = "candidates"
+		op, name = "candidates", "scatter candidates"
 	}
-	ctx, sp := otrace.StartSpan(ctx, "scatter "+op, "scatter",
-		otrace.Int("shards", len(c.shards)))
+	ctx, sp := otrace.StartSpan(ctx, name, "scatter", otrace.Int("shards", len(c.shards)))
 	defer sp.End()
 
-	var wg sync.WaitGroup
+	req := SelectRequest{Filter: f, PoolOnly: poolOnly}
 	partial := make([][]int, len(c.shards))
 	errs := make([]error, len(c.shards))
-	for i := range c.shards {
+	leg := func(i int) {
+		lctx, lsp := ctx, (*otrace.Span)(nil)
+		if sp != nil {
+			// Only a traced request pays for formatting a span name.
+			lctx, lsp = otrace.StartSpan(ctx, "shard "+strconv.Itoa(i)+" "+op, "shard", otrace.Int("shard", i))
+		}
+		begin := time.Now()
+		resp, err := c.shards[i].Select(lctx, req)
+		c.mShardLat.With(strconv.Itoa(i), op).Observe(time.Since(begin).Seconds())
+		if err != nil {
+			lsp.Fail(err.Error())
+		} else if lsp != nil {
+			lsp.SetAttr("matches", len(resp.Seqs))
+		}
+		lsp.End()
+		partial[i], errs[i] = resp.Seqs, err
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(c.shards); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sctx, ssp := otrace.StartSpan(ctx, fmt.Sprintf("shard %d %s", i, op), "shard",
-				otrace.Int("shard", i))
-			begin := time.Now()
-			resp, err := c.shards[i].Select(sctx, SelectRequest{Filter: f, PoolOnly: poolOnly})
-			c.mShardLat.With(strconv.Itoa(i), op).Observe(time.Since(begin).Seconds())
-			if err != nil {
-				ssp.Fail(err.Error())
-			} else {
-				ssp.SetAttr("matches", len(resp.Seqs))
-			}
-			ssp.End()
-			partial[i], errs[i] = resp.Seqs, err
+			leg(i)
 		}(i)
 	}
+	leg(0)
 	wg.Wait()
 	total := 0
-	for i := range c.shards {
-		if errs[i] != nil {
+	for i, err := range errs {
+		if err != nil {
 			c.mRPCErrs.With(strconv.Itoa(i), op).Inc()
-			sp.Fail(errs[i].Error())
-			return nil, fmt.Errorf("shard %d: select: %w", i, errs[i])
+			sp.Fail(err.Error())
+			return nil, fmt.Errorf("shard %d: select: %w", i, err)
 		}
 		total += len(partial[i])
 	}
@@ -497,7 +476,9 @@ func (c *Cluster) Scatter(ctx context.Context, f corpus.Filter, poolOnly bool) (
 		merged = append(merged, p...)
 	}
 	sort.Ints(merged)
-	sp.SetAttr("matches", total)
+	if sp != nil {
+		sp.SetAttr("matches", total)
+	}
 	return merged, nil
 }
 
@@ -550,14 +531,7 @@ func (c *Cluster) Rehydrate(ctx context.Context, shardID int) (*View, error) {
 	}
 	vv := append([]uint64(nil), cur.VV...)
 	vv[shardID] = info.Version
-	v := &View{
-		Merged:       cur.Merged,
-		VV:           vv,
-		NormEpoch:    cur.NormEpoch,
-		BuiltAt:      time.Now(),
-		poolIdxBySeq: cur.poolIdxBySeq,
-		ownerBySeq:   cur.ownerBySeq,
-	}
+	v := newView(cur.Merged, vv, cur.NormEpoch, cur.ownerBySeq)
 	c.view.Store(v)
 	return v, nil
 }

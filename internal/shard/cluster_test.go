@@ -131,7 +131,7 @@ func TestScatterMatchesSingleStore(t *testing.T) {
 		}
 		poolIdx := make([]int, 0, len(gotPool))
 		for _, seq := range gotPool {
-			pi := c.View().PoolIndexOfSeq(seq)
+			pi := c.View().Merged.PoolIndexOf(seq)
 			if pi < 0 {
 				t.Fatalf("pool scatter returned non-pool seq %d", seq)
 			}

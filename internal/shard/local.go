@@ -10,13 +10,14 @@ import (
 )
 
 // partSnapshot is one immutable version of a shard's partition: the
-// shard's entries in ascending sequence order plus a key index. Strictly
-// read-only after construction, so replicas can serve it lock-free.
+// shard's entries in ascending sequence order plus the same key, filter
+// and pool index a whole-corpus snapshot uses (positions in ix are
+// indices into entries). Strictly read-only after construction, so
+// replicas can serve it lock-free.
 type partSnapshot struct {
 	version uint64
 	entries []Entry
-	byKey   map[string]int // key → index into entries
-	pool    []bool         // entries[i] is an ensemble-pool member
+	ix      *corpus.Index
 }
 
 // replica is one read replica: an atomically swappable pointer to the
@@ -42,17 +43,14 @@ type LocalShard struct {
 	// take it — they load a replica's snapshot pointer and are done.
 	pubMu   sync.Mutex
 	version atomic.Uint64
-	// poolMember classifies records into the ensemble-design pool; the
-	// cluster injects it so shard and coordinator agree on membership.
-	poolMember func(*corpus.Record) bool
 }
 
 // NewLocalShard builds shard id with the given replica count (min 1).
-func NewLocalShard(id, replicas int, poolMember func(*corpus.Record) bool) *LocalShard {
+func NewLocalShard(id, replicas int) *LocalShard {
 	if replicas < 1 {
 		replicas = 1
 	}
-	s := &LocalShard{id: id, poolMember: poolMember}
+	s := &LocalShard{id: id}
 	for i := 0; i < replicas; i++ {
 		s.replicas = append(s.replicas, &replica{})
 	}
@@ -83,7 +81,7 @@ func (s *LocalShard) Get(_ context.Context, req GetRequest) (GetResponse, error)
 		return GetResponse{}, fmt.Errorf("shard %d: no snapshot published", s.id)
 	}
 	resp := GetResponse{Version: snap.version}
-	if i, ok := snap.byKey[req.Key]; ok {
+	if i, ok := snap.ix.Lookup(req.Key); ok {
 		resp.Found = true
 		resp.Entry = snap.entries[i]
 	}
@@ -101,22 +99,11 @@ func (s *LocalShard) Select(ctx context.Context, req SelectRequest) (SelectRespo
 	if err := ctx.Err(); err != nil {
 		return SelectResponse{}, err
 	}
-	f := req.Filter
-	if req.PoolOnly {
-		// Pool membership already implies status ok; mirroring
-		// corpus.PoolSelect, the status restriction is ignored.
-		f.Statuses = nil
+	seqs := snap.ix.Select(req.Filter, req.PoolOnly)
+	for j, i := range seqs {
+		seqs[j] = snap.entries[i].Seq
 	}
-	resp := SelectResponse{Version: snap.version}
-	for i := range snap.entries {
-		if req.PoolOnly && !snap.pool[i] {
-			continue
-		}
-		if f.Matches(&snap.entries[i].Record) {
-			resp.Seqs = append(resp.Seqs, snap.entries[i].Seq)
-		}
-	}
-	return resp, nil
+	return SelectResponse{Version: snap.version, Seqs: seqs}, nil
 }
 
 // Publish implements ShardClient: build one immutable snapshot from the
@@ -153,25 +140,18 @@ func (s *LocalShard) Publish(_ context.Context, req PublishRequest) (PublishResp
 	if req.MinVersion > version {
 		version = req.MinVersion
 	}
-	s.version.Store(version)
-	snap := &partSnapshot{
-		version: version,
-		entries: entries,
-		byKey:   make(map[string]int, len(entries)),
-		pool:    make([]bool, len(entries)),
-	}
+	recs := make([]*corpus.Record, len(entries))
 	for i := range entries {
-		if entries[i].Record.Key == "" {
-			return PublishResponse{}, fmt.Errorf("shard %d: entry seq %d has no key (keys are assigned by the coordinator)",
-				s.id, entries[i].Seq)
-		}
-		if prev, dup := snap.byKey[entries[i].Record.Key]; dup {
-			return PublishResponse{}, fmt.Errorf("shard %d: duplicate key %q (seqs %d and %d)",
-				s.id, entries[i].Record.Key, entries[prev].Seq, entries[i].Seq)
-		}
-		snap.byKey[entries[i].Record.Key] = i
-		snap.pool[i] = s.poolMember(&entries[i].Record)
+		recs[i] = &entries[i].Record
 	}
+	// Keys are assigned by the coordinator; a missing or repeated one
+	// is a coordinator bug the index refuses.
+	ix, err := corpus.NewIndex(recs)
+	if err != nil {
+		return PublishResponse{}, fmt.Errorf("shard %d: %w", s.id, err)
+	}
+	s.version.Store(version)
+	snap := &partSnapshot{version: version, entries: entries, ix: ix}
 	for _, r := range s.replicas {
 		r.snap.Store(snap)
 	}

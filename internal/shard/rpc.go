@@ -3,10 +3,9 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-
-	"gcbench/internal/corpus"
 )
 
 // The shard wire protocol is deliberately minimal: each ShardClient
@@ -26,6 +25,12 @@ import (
 // {"error": ...} body; the client surfaces them verbatim and does not
 // retry — retry is reserved for transport faults, where the request
 // may never have reached the shard.
+
+// maxRPCBody bounds every RPC request body. A publish carries a whole
+// shard partition, about 1.5 KB per record, so the bound leaves room
+// for some ten thousand records per shard; a larger body is refused
+// with 413 before it is buffered.
+const maxRPCBody = 16 << 20
 
 // rpcError is the wire error envelope.
 type rpcError struct {
@@ -53,9 +58,12 @@ func RPCHandler(client ShardClient) http.Handler {
 func rpcRoute[Req, Resp any](mux *http.ServeMux, name string, call func(context.Context, Req) (Resp, error)) {
 	mux.HandleFunc("POST /rpc/"+name, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
-		dec := json.NewDecoder(r.Body)
-		if err := dec.Decode(&req); err != nil {
-			writeRPC(w, http.StatusBadRequest, rpcError{Error: fmt.Sprintf("decoding %s request: %v", name, err)})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRPCBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeRPC(w, status, rpcError{Error: fmt.Sprintf("decoding %s request: %v", name, err)})
 			return
 		}
 		resp, err := call(r.Context(), req)
@@ -79,5 +87,5 @@ func writeRPC(w http.ResponseWriter, status int, v any) {
 // replica endpoint; the coordinator's ReplicaSet is the replica
 // fan-out, so R replicas of a shard are R of these processes.
 func NewProcessShard(id int) *LocalShard {
-	return NewLocalShard(id, 1, corpus.PoolMember)
+	return NewLocalShard(id, 1)
 }

@@ -2,10 +2,12 @@ package shard
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,7 +35,7 @@ func testEntries(t testing.TB, n int) []Entry {
 // protocol and returns a RemoteShard client for it.
 func wireShard(t testing.TB, id int) (*LocalShard, *RemoteShard) {
 	t.Helper()
-	local := NewLocalShard(id, 1, corpus.PoolMember)
+	local := NewLocalShard(id, 1)
 	srv := httptest.NewServer(RPCHandler(local))
 	t.Cleanup(srv.Close)
 	remote := NewRemoteShard(srv.URL, RemoteOptions{Shard: id, Registry: obs.NewRegistry()})
@@ -166,7 +168,7 @@ func (p *flakyProxy) run() {
 // fence).
 func TestRemoteRetriesTransientReads(t *testing.T) {
 	ctx := context.Background()
-	local := NewLocalShard(0, 1, corpus.PoolMember)
+	local := NewLocalShard(0, 1)
 	if _, err := local.Publish(ctx, PublishRequest{Replace: true, Entries: testEntries(t, 8)}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestPublishEpochFence(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 4)
 
-	s := NewLocalShard(0, 2, corpus.PoolMember)
+	s := NewLocalShard(0, 2)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Publish(ctx, PublishRequest{Replace: true, Entries: entries}); err != nil {
 			t.Fatal(err)
@@ -230,7 +232,7 @@ func TestPublishEpochFence(t *testing.T) {
 
 	// Restart: a fresh process is version 0. Rehydrating with the
 	// coordinator's fence lands strictly above the pre-crash version.
-	restarted := NewLocalShard(0, 2, corpus.PoolMember)
+	restarted := NewLocalShard(0, 2)
 	resp, err = restarted.Publish(ctx, PublishRequest{Replace: true, Entries: entries, MinVersion: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -247,13 +249,13 @@ func TestReplicaSetFailover(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 10)
 
-	local := NewLocalShard(0, 1, corpus.PoolMember)
+	local := NewLocalShard(0, 1)
 	if _, err := local.Publish(ctx, PublishRequest{Replace: true, Entries: entries}); err != nil {
 		t.Fatal(err)
 	}
 	alive := httptest.NewServer(RPCHandler(local))
 	defer alive.Close()
-	dead := httptest.NewServer(RPCHandler(NewLocalShard(0, 1, corpus.PoolMember)))
+	dead := httptest.NewServer(RPCHandler(NewLocalShard(0, 1)))
 	deadAddr := dead.URL
 	dead.Close() // connection refused from here on
 
@@ -310,7 +312,7 @@ func TestReplicaSetPublishFence(t *testing.T) {
 	ctx := context.Background()
 	entries := testEntries(t, 6)
 
-	locals := []*LocalShard{NewLocalShard(0, 1, corpus.PoolMember), NewLocalShard(0, 1, corpus.PoolMember)}
+	locals := []*LocalShard{NewLocalShard(0, 1), NewLocalShard(0, 1)}
 	// Skew the replicas' starting versions — exactly what a crash-restart
 	// produces — then prove the fence re-converges them.
 	for i := 0; i < 3; i++ {
@@ -352,7 +354,7 @@ func spawnHookShard(t testing.TB, spec ProcSpec) (wait func() error, kill func()
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: RPCHandler(NewLocalShard(spec.Shard, 1, corpus.PoolMember))}
+	srv := &http.Server{Handler: RPCHandler(NewLocalShard(spec.Shard, 1))}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	return func() error { return <-done },
@@ -442,4 +444,34 @@ func freePorts(n int) ([]string, error) {
 		addrs[i] = ln.Addr().String()
 	}
 	return addrs, nil
+}
+
+// TestRPCBodyLimit: an RPC body one byte over maxRPCBody is refused with
+// 413 in the wire error envelope; a body at the bound is decoded as
+// usual. The publish leg is the one that carries real volume.
+func TestRPCBodyLimit(t *testing.T) {
+	h := RPCHandler(NewLocalShard(0, 1))
+	cases := []struct {
+		name   string
+		size   int
+		status int
+	}{
+		{"at bound", maxRPCBody, http.StatusOK},
+		{"over bound", maxRPCBody + 1, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prefix := `{"replace":true,"entries":[`
+			body := prefix + strings.Repeat(" ", c.size-len(prefix)-2) + "]}"
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/rpc/publish", strings.NewReader(body)))
+			var env rpcError
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+				t.Fatalf("status %d, body not JSON: %v", w.Code, err)
+			}
+			if w.Code != c.status || (c.status != http.StatusOK) != (env.Error != "") {
+				t.Fatalf("%d-byte publish: %d %s", c.size, w.Code, w.Body.String())
+			}
+		})
+	}
 }
