@@ -17,6 +17,16 @@ const cfRank = 8
 // cfFactor is one latent factor vector.
 type cfFactor [cfRank]float64
 
+// cfDot is ⟨a, b⟩, each product rounded before it is added so the compiler
+// cannot fuse the sum into FMA instructions (see engine.Accumulator).
+func cfDot(a, b *cfFactor) float64 {
+	d := 0.0
+	for i := 0; i < cfRank; i++ {
+		d += float64(a[i] * b[i])
+	}
+	return d
+}
+
 // cfState is a CF vertex's factor and the magnitude of its last update.
 type cfState struct {
 	F     cfFactor
@@ -89,6 +99,32 @@ func (p *alsProgram) Sum(a, b alsAccum) alsAccum {
 	}
 	a.N += b.N
 	return a
+}
+
+// GatherInto is Gather+Sum folded into v's normal equations in place
+// (engine.Accumulator).
+func (p *alsProgram) GatherInto(acc *alsAccum, first bool, _ uint32, e engine.Arc, _, other cfState) {
+	if first {
+		for i := 0; i < cfRank; i++ {
+			fi := other.F[i]
+			acc.B[i] = e.Weight * fi
+			row := acc.A[i*cfRank : (i+1)*cfRank]
+			for j := 0; j < cfRank; j++ {
+				row[j] = fi * other.F[j]
+			}
+		}
+		acc.N = 1
+		return
+	}
+	for i := 0; i < cfRank; i++ {
+		fi := other.F[i]
+		acc.B[i] += float64(e.Weight * fi)
+		row := acc.A[i*cfRank : (i+1)*cfRank]
+		for j := 0; j < cfRank; j++ {
+			row[j] += float64(fi * other.F[j])
+		}
+	}
+	acc.N++
 }
 
 func (p *alsProgram) Apply(_ uint32, self cfState, acc alsAccum, hasAcc bool) cfState {

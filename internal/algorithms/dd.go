@@ -44,6 +44,11 @@ type ddProgram struct {
 	m    *graph.MRF
 	rev  []int64
 	dual []float64 // numArcs × states: λ of the arc's source vertex
+	// pairCost is θ_e(x_v, x_u) = −log φ_e(x_v, x_u) for every arc, seen
+	// from the arc's source v: entry a·n² + x_v·n + x_u. The potentials
+	// are constant, so it is tabulated once per run rather than taking a
+	// logarithm per state pair, arc and iteration.
+	pairCost []float64
 	// edgeMin[a] is the x_v minimizer of arc a's edge subproblem as seen
 	// from the source vertex of a; written during v's gather, read during
 	// v's apply and scatter (vertex-owned).
@@ -68,18 +73,18 @@ func (p *ddProgram) GatherDirection() engine.Direction { return engine.Out }
 // Gather solves one edge subproblem from v's perspective and records the
 // minimizing x_v. The accumulated value is the subproblem minimum — the
 // edge's contribution to the dual objective.
-func (p *ddProgram) Gather(v uint32, e engine.Arc, _, _ ddState) float64 {
+func (p *ddProgram) Gather(_ uint32, e engine.Arc, _, _ ddState) float64 {
 	n := p.states()
 	nu := p.m.Card[e.Other]
 	myDual := p.dual[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
 	otherDual := p.dual[p.rev[e.Index]*int64(nu) : p.rev[e.Index]*int64(nu)+int64(nu)]
+	te := p.pairCost[e.Index*int64(n*nu) : (e.Index+1)*int64(n*nu)]
 	best := math.Inf(1)
 	bestXv := int32(0)
 	for xv := 0; xv < n; xv++ {
 		for xu := 0; xu < nu; xu++ {
-			// θ_e = -log φ; duals shift the endpoint costs.
-			cost := -math.Log(p.m.PairwiseFor(e.Index, v, xv, xu)) +
-				myDual[xv] + otherDual[xu]
+			// θ_e, shifted by the two endpoints' duals.
+			cost := te[xv*nu+xu] + myDual[xv] + otherDual[xu]
 			if cost < best {
 				best = cost
 				bestXv = int32(xv)
@@ -173,58 +178,85 @@ type DDOptions struct {
 // subproblems. Summary reports "disagreements" at the final iteration and
 // "energy" of the returned assignment (−log potential sum).
 func DualDecomposition(m *graph.MRF, opt DDOptions) (*Output, []int, error) {
-	n := m.Card[0]
-	if n > ddMaxStates {
-		return nil, nil, fmt.Errorf("algorithms: DD supports at most %d states, got %d", ddMaxStates, n)
-	}
-	for v, c := range m.Card {
-		if c != n {
-			return nil, nil, fmt.Errorf("algorithms: DD requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
-		}
-	}
-	step0 := opt.Step0
-	if step0 == 0 {
-		step0 = 0.5
+	p, err := newDDProgram(m, opt.Step0)
+	if err != nil {
+		return nil, nil, err
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 3000
 	}
-	arcs := m.G.NumArcs()
-	theta := make([][]float64, m.G.NumVertices())
+	res, err := engine.Run[ddState, float64](m.G, p, opt.engineOptions())
+	if err != nil {
+		return nil, nil, err
+	}
+	out, assign := p.output(res)
+	return out, assign, nil
+}
+
+// newDDProgram validates the MRF and builds a fresh program over it, with
+// its cost tables; step0 0 selects the default 0.5.
+func newDDProgram(m *graph.MRF, step0 float64) (*ddProgram, error) {
+	n := m.Card[0]
+	if n > ddMaxStates {
+		return nil, fmt.Errorf("algorithms: DD supports at most %d states, got %d", ddMaxStates, n)
+	}
+	for v, c := range m.Card {
+		if c != n {
+			return nil, fmt.Errorf("algorithms: DD requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
+		}
+	}
+	if step0 == 0 {
+		step0 = 0.5
+	}
+	g := m.G
+	arcs := g.NumArcs()
+	theta := make([][]float64, g.NumVertices())
 	for v := range theta {
 		theta[v] = make([]float64, n)
 		for x := 0; x < n; x++ {
 			theta[v][x] = -math.Log(m.Unary[v][x])
 		}
 	}
-	p := &ddProgram{
-		m:       m,
-		rev:     m.G.ReverseArcs(),
-		dual:    make([]float64, arcs*int64(n)),
-		edgeMin: make([]int32, arcs),
-		step0:   step0,
-		step:    step0,
-		theta:   theta,
+	pairCost := make([]float64, arcs*int64(n*n))
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		lo, hi := g.OutArcRange(v)
+		for a := lo; a < hi; a++ {
+			te := pairCost[a*int64(n*n) : (a+1)*int64(n*n)]
+			for xv := 0; xv < n; xv++ {
+				for xu := 0; xu < n; xu++ {
+					te[xv*n+xu] = -math.Log(m.PairwiseFor(a, v, xv, xu))
+				}
+			}
+		}
 	}
-	res, err := engine.Run[ddState, float64](m.G, p, opt.engineOptions())
-	if err != nil {
-		return nil, nil, err
-	}
+	return &ddProgram{
+		m:        m,
+		rev:      g.ReverseArcs(),
+		dual:     make([]float64, arcs*int64(n)),
+		pairCost: pairCost,
+		edgeMin:  make([]int32, arcs),
+		step0:    step0,
+		step:     step0,
+		theta:    theta,
+	}, nil
+}
+
+// output converts a finished run into the assignment and its summary.
+func (p *ddProgram) output(res *engine.Result[ddState]) (*Output, []int) {
 	assign := make([]int, len(res.States))
 	disagreements := 0.0
 	for v, s := range res.States {
 		assign[v] = int(s.Assign)
 		disagreements += float64(s.Disagree)
 	}
-	out := &Output{
+	return &Output{
 		Trace: res.Trace,
 		Summary: map[string]float64{
 			"disagreements": disagreements,
-			"energy":        mrfEnergy(m, assign),
+			"energy":        mrfEnergy(p.m, assign),
 			"bestDual":      p.bestDual,
 		},
-	}
-	return out, assign, nil
+	}, assign
 }
 
 // mrfEnergy returns −log of the unnormalized probability of an assignment.

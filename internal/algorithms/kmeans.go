@@ -88,6 +88,26 @@ func (p *kmProgram) Sum(a, b kmVotes) kmVotes {
 	return a
 }
 
+// GatherInto is Gather+Sum folded into v's votes in place
+// (engine.Accumulator). Like Sum it adds every entry, the zero votes too:
+// x + 0 turns a −0 entry into +0.
+func (p *kmProgram) GatherInto(acc *kmVotes, first bool, _ uint32, e engine.Arc, _, other kmState) {
+	if first {
+		*acc = kmVotes{}
+		if int(other.Assign) < p.k {
+			acc[other.Assign] = e.Weight
+		}
+		return
+	}
+	for i := 0; i < p.k; i++ {
+		c := 0.0
+		if i == int(other.Assign) {
+			c = e.Weight
+		}
+		acc[i] += c
+	}
+}
+
 func (p *kmProgram) Apply(v uint32, self kmState, acc kmVotes, hasAcc bool) kmState {
 	var votes *kmVotes
 	if hasAcc {
@@ -164,38 +184,13 @@ type KMeansOptions struct {
 // gen.GaussianPoints2D). Summary reports "inertia" (sum of squared
 // distances) and "clusters" (non-empty count).
 func KMeans(g *graph.Graph, opt KMeansOptions) (*Output, []int32, error) {
-	if g.FeatureDim() != 2 {
-		return nil, nil, fmt.Errorf("algorithms: KM requires 2-D vertex features, have dim %d", g.FeatureDim())
-	}
-	k := opt.K
-	if k == 0 {
-		k = 8
-	}
-	if k < 1 || k > maxK {
-		return nil, nil, fmt.Errorf("algorithms: KM cluster count %d outside [1, %d]", k, maxK)
-	}
-	lambda := opt.Lambda
-	if lambda == 0 {
-		lambda = 0.1
+	p, err := newKMProgram(g, opt)
+	if err != nil {
+		return nil, nil, err
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 2000
 	}
-	p := &kmProgram{
-		g:      g,
-		k:      k,
-		lambda: lambda,
-		counts: make([]float64, k),
-		tol:    1e-9,
-	}
-	// Seed centroids from k random vertices' points.
-	r := rng.New(opt.Seed ^ 0x6b6d) // "km"
-	p.centroids = make([][2]float64, k)
-	for i := 0; i < k; i++ {
-		pt := g.Features(uint32(r.Intn(g.NumVertices())))
-		p.centroids[i] = [2]float64{pt[0], pt[1]}
-	}
-
 	res, err := engine.Run[kmState, kmVotes](g, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
@@ -219,4 +214,38 @@ func KMeans(g *graph.Graph, opt KMeansOptions) (*Output, []int32, error) {
 		},
 	}
 	return out, assign, nil
+}
+
+// newKMProgram validates the input and builds a fresh program with its
+// seeded centroids.
+func newKMProgram(g *graph.Graph, opt KMeansOptions) (*kmProgram, error) {
+	if g.FeatureDim() != 2 {
+		return nil, fmt.Errorf("algorithms: KM requires 2-D vertex features, have dim %d", g.FeatureDim())
+	}
+	k := opt.K
+	if k == 0 {
+		k = 8
+	}
+	if k < 1 || k > maxK {
+		return nil, fmt.Errorf("algorithms: KM cluster count %d outside [1, %d]", k, maxK)
+	}
+	lambda := opt.Lambda
+	if lambda == 0 {
+		lambda = 0.1
+	}
+	p := &kmProgram{
+		g:      g,
+		k:      k,
+		lambda: lambda,
+		counts: make([]float64, k),
+		tol:    1e-9,
+	}
+	// Seed centroids from k random vertices' points.
+	r := rng.New(opt.Seed ^ 0x6b6d) // "km"
+	p.centroids = make([][2]float64, k)
+	for i := 0; i < k; i++ {
+		pt := g.Features(uint32(r.Intn(g.NumVertices())))
+		p.centroids[i] = [2]float64{pt[0], pt[1]}
+	}
+	return p, nil
 }

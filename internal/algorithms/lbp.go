@@ -61,9 +61,8 @@ func (p *lbpProgram) GatherDirection() engine.Direction { return engine.Out }
 // Gather reads the incoming message m_{u→v} on the reverse arc, caches it
 // in v's inbox slot, and contributes it to the belief product.
 func (p *lbpProgram) Gather(_ uint32, e engine.Arc, _, _ lbpState) lbpBelief {
-	n := p.states()
-	in := p.msg[p.rev[e.Index]*int64(n) : p.rev[e.Index]*int64(n)+int64(n)]
-	copy(p.inbox[e.Index*int64(n):e.Index*int64(n)+int64(n)], in)
+	in := p.receive(e)
+	n := len(in)
 	var b lbpBelief
 	for x := 0; x < n; x++ {
 		b[x] = in[x]
@@ -79,6 +78,33 @@ func (p *lbpProgram) Sum(a, b lbpBelief) lbpBelief {
 		a[x] *= b[x]
 	}
 	return a
+}
+
+// GatherInto is Gather+Sum folded into v's belief product in place
+// (engine.Accumulator). The padding states past the cardinality are 1 in
+// every contribution, so the product keeps them at exactly 1 and only
+// the real states are multiplied.
+func (p *lbpProgram) GatherInto(acc *lbpBelief, first bool, _ uint32, e engine.Arc, _, _ lbpState) {
+	in := p.receive(e)
+	if first {
+		copy(acc[:], in)
+		for x := len(in); x < lbpMaxStates; x++ {
+			acc[x] = 1
+		}
+		return
+	}
+	for x, m := range in {
+		acc[x] *= m
+	}
+}
+
+// receive returns the incoming message m_{u→v} on the reverse arc of
+// e = (v→u) and caches it in v's inbox slot for scatter.
+func (p *lbpProgram) receive(e engine.Arc) []float64 {
+	n := int64(p.states())
+	in := p.msg[p.rev[e.Index]*n : p.rev[e.Index]*n+n]
+	copy(p.inbox[e.Index*n:e.Index*n+n], in)
+	return in
 }
 
 func (p *lbpProgram) Apply(v uint32, self lbpState, acc lbpBelief, hasAcc bool) lbpState {
@@ -167,41 +193,18 @@ type LBPOptions struct {
 // whose variables share one cardinality (≤ 4). It returns per-vertex
 // max-belief assignments. Summary reports "avgResidual" at convergence.
 func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error) {
-	n := m.Card[0]
-	if n > lbpMaxStates {
-		return nil, nil, fmt.Errorf("algorithms: LBP supports at most %d states, got %d", lbpMaxStates, n)
-	}
-	for v, c := range m.Card {
-		if c != n {
-			return nil, nil, fmt.Errorf("algorithms: LBP requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
-		}
-	}
-	tol := opt.Tolerance
-	if tol == 0 {
-		tol = 1e-4
+	p, err := newLBPProgram(m, opt.Tolerance)
+	if err != nil {
+		return nil, nil, err
 	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 500
 	}
-	arcs := m.G.NumArcs()
-	p := &lbpProgram{
-		m:     m,
-		rev:   m.G.ReverseArcs(),
-		msg:   make([]float64, arcs*int64(n)),
-		inbox: make([]float64, arcs*int64(n)),
-		tol:   tol,
-	}
-	// Uniform initial messages.
-	uniform := 1.0 / float64(n)
-	for i := range p.msg {
-		p.msg[i] = uniform
-	}
-	copy(p.inbox, p.msg)
-
 	res, err := engine.Run[lbpState, lbpBelief](m.G, p, opt.engineOptions())
 	if err != nil {
 		return nil, nil, err
 	}
+	n := p.states()
 	assign := make([]int, len(res.States))
 	var resid float64
 	for v, s := range res.States {
@@ -221,4 +224,36 @@ func LoopyBeliefPropagation(m *graph.MRF, opt LBPOptions) (*Output, []int, error
 		},
 	}
 	return out, assign, nil
+}
+
+// newLBPProgram validates the MRF and builds a fresh program with uniform
+// initial messages; tol 0 selects the default 1e-4.
+func newLBPProgram(m *graph.MRF, tol float64) (*lbpProgram, error) {
+	n := m.Card[0]
+	if n > lbpMaxStates {
+		return nil, fmt.Errorf("algorithms: LBP supports at most %d states, got %d", lbpMaxStates, n)
+	}
+	for v, c := range m.Card {
+		if c != n {
+			return nil, fmt.Errorf("algorithms: LBP requires uniform cardinality (vertex %d has %d, want %d)", v, c, n)
+		}
+	}
+	if tol == 0 {
+		tol = 1e-4
+	}
+	arcs := m.G.NumArcs()
+	p := &lbpProgram{
+		m:     m,
+		rev:   m.G.ReverseArcs(),
+		msg:   make([]float64, arcs*int64(n)),
+		inbox: make([]float64, arcs*int64(n)),
+		tol:   tol,
+	}
+	// Uniform initial messages.
+	uniform := 1.0 / float64(n)
+	for i := range p.msg {
+		p.msg[i] = uniform
+	}
+	copy(p.inbox, p.msg)
+	return p, nil
 }

@@ -32,10 +32,7 @@ func (p *nmfProgram) GatherDirection() engine.Direction { return engine.Both }
 
 func (p *nmfProgram) Gather(_ uint32, e engine.Arc, self, other cfState) nmfAccum {
 	var acc nmfAccum
-	pred := 0.0
-	for i := 0; i < cfRank; i++ {
-		pred += self.F[i] * other.F[i]
-	}
+	pred := cfDot(&self.F, &other.F)
 	for i := 0; i < cfRank; i++ {
 		acc.Num[i] = e.Weight * other.F[i]
 		acc.Den[i] = pred * other.F[i]
@@ -49,6 +46,23 @@ func (p *nmfProgram) Sum(a, b nmfAccum) nmfAccum {
 		a.Den[i] += b.Den[i]
 	}
 	return a
+}
+
+// GatherInto is Gather+Sum folded into v's accumulator in place
+// (engine.Accumulator).
+func (p *nmfProgram) GatherInto(acc *nmfAccum, first bool, _ uint32, e engine.Arc, self, other cfState) {
+	pred := cfDot(&self.F, &other.F)
+	if first {
+		for i := 0; i < cfRank; i++ {
+			acc.Num[i] = e.Weight * other.F[i]
+			acc.Den[i] = pred * other.F[i]
+		}
+		return
+	}
+	for i := 0; i < cfRank; i++ {
+		acc.Num[i] += float64(e.Weight * other.F[i])
+		acc.Den[i] += float64(pred * other.F[i])
+	}
 }
 
 func (p *nmfProgram) Apply(_ uint32, self cfState, acc nmfAccum, hasAcc bool) cfState {

@@ -28,11 +28,7 @@ func (p *sgdProgram) GatherDirection() engine.Direction { return engine.Both }
 // Gather returns the gradient contribution of one rating:
 // err·f_other where err = rating − ⟨f_self, f_other⟩.
 func (p *sgdProgram) Gather(_ uint32, e engine.Arc, self, other cfState) cfFactor {
-	pred := 0.0
-	for i := 0; i < cfRank; i++ {
-		pred += self.F[i] * other.F[i]
-	}
-	errTerm := e.Weight - pred
+	errTerm := e.Weight - cfDot(&self.F, &other.F)
 	var g cfFactor
 	for i := 0; i < cfRank; i++ {
 		g[i] = errTerm * other.F[i]
@@ -45,6 +41,21 @@ func (p *sgdProgram) Sum(a, b cfFactor) cfFactor {
 		a[i] += b[i]
 	}
 	return a
+}
+
+// GatherInto is Gather+Sum folded into v's gradient in place
+// (engine.Accumulator).
+func (p *sgdProgram) GatherInto(acc *cfFactor, first bool, _ uint32, e engine.Arc, self, other cfState) {
+	errTerm := e.Weight - cfDot(&self.F, &other.F)
+	if first {
+		for i := 0; i < cfRank; i++ {
+			acc[i] = errTerm * other.F[i]
+		}
+		return
+	}
+	for i := 0; i < cfRank; i++ {
+		acc[i] += float64(errTerm * other.F[i])
+	}
 }
 
 func (p *sgdProgram) Apply(_ uint32, self cfState, acc cfFactor, hasAcc bool) cfState {

@@ -110,6 +110,30 @@ type Program[S, A any] interface {
 	Scatter(v uint32, e Arc, self, other S) bool
 }
 
+// Accumulator is an optional Program extension for programs whose
+// accumulator is wider than a couple of machine words. The gather phase
+// then folds each arc into the vertex's accumulator slot in place, where
+// the Gather/Sum pair would return and merge a full accumulator by value
+// on every arc.
+//
+// GatherInto must leave *acc bit-identical to the Gather/Sum path:
+//   - first is true on the vertex's first gathered arc. That arc stores
+//     its contribution (acc = Gather(...)) and every later arc adds it
+//     (acc = Sum(acc, Gather(...))). Storing instead of adding to zero
+//     keeps the sign of a zero contribution.
+//   - It uses the same expressions as Gather and Sum, operand for operand.
+//   - Every product it adds is rounded first: acc += float64(x*y). Go may
+//     otherwise fuse acc += x*y into one FMA instruction (arm64,
+//     GOAMD64=v3), which the by-value path, whose products are stored in
+//     the returned contribution before Sum adds them, never does.
+//   - It allocates nothing.
+//
+// Gather and Sum stay required: they define the value GatherInto must
+// reproduce.
+type Accumulator[S, A any] interface {
+	GatherInto(acc *A, first bool, v uint32, e Arc, self, other S)
+}
+
 // PreIterator is an optional Program extension: PreIteration runs serially
 // before each iteration's gather phase (GraphLab's aggregator slot —
 // K-Means recomputes centroids here).
@@ -204,29 +228,7 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 	if workers > n {
 		workers = n
 	}
-
-	e := &engine[S, A]{
-		g:         g,
-		p:         p,
-		workers:   workers,
-		state:     make([]S, n),
-		acc:       make([]A, n),
-		hasAcc:    make([]bool, n),
-		cur:       newBitset(n),
-		next:      newBitset(n),
-		gatherD:   normalizeDir(g, p.GatherDirection()),
-		scatterD:  normalizeDir(g, p.ScatterDirection()),
-		frontierM: opt.Frontier,
-	}
-
-	// Initialize states and the initial frontier.
-	for v := uint32(0); int(v) < n; v++ {
-		s, active := p.Init(g, v)
-		e.state[v] = s
-		if active {
-			e.cur.SetSerial(v)
-		}
-	}
+	e := newEngine(g, p, workers, opt.Frontier)
 
 	pre, _ := any(p).(PreIterator[S])
 	post, _ := any(p).(PostIterator[S])
@@ -338,6 +340,35 @@ func Run[S, A any](g *graph.Graph, p Program[S, A], opt Options) (*Result[S], er
 	return &Result[S]{Trace: tr, States: e.state}, nil
 }
 
+// newEngine builds a run's engine with every vertex's initial state and
+// the initial frontier.
+func newEngine[S, A any](g *graph.Graph, p Program[S, A], workers int, frontier FrontierMode) *engine[S, A] {
+	n := g.NumVertices()
+	into, _ := any(p).(Accumulator[S, A])
+	e := &engine[S, A]{
+		g:         g,
+		p:         p,
+		workers:   workers,
+		into:      into,
+		state:     make([]S, n),
+		acc:       make([]A, n),
+		hasAcc:    make([]bool, n),
+		cur:       newBitset(n),
+		next:      newBitset(n),
+		gatherD:   normalizeDir(g, p.GatherDirection()),
+		scatterD:  normalizeDir(g, p.ScatterDirection()),
+		frontierM: frontier,
+	}
+	for v := uint32(0); int(v) < n; v++ {
+		s, active := p.Init(g, v)
+		e.state[v] = s
+		if active {
+			e.cur.SetSerial(v)
+		}
+	}
+	return e
+}
+
 // normalizeDir collapses In/Both to Out for undirected graphs, whose two
 // CSR sides are identical.
 func normalizeDir(g *graph.Graph, d Direction) Direction {
@@ -351,6 +382,7 @@ func normalizeDir(g *graph.Graph, d Direction) Direction {
 type engine[S, A any] struct {
 	g        *graph.Graph
 	p        Program[S, A]
+	into     Accumulator[S, A] // p's in-place gather, nil if it has none
 	workers  int
 	state    []S
 	acc      []A
@@ -450,10 +482,36 @@ func (e *engine[S, A]) parallelChunks(fn func(worker int, lo, hi uint32)) {
 	})
 }
 
-// gatherPhase runs Gather+Sum per active vertex and stores accumulators.
-// Returns the total edge reads, per-worker busy time (granule-level
-// timing — chunk or slice — so the span instrumentation never pays a
-// clock read per vertex) and the schedule mode executed.
+// gatherLegs lists, per gather direction, the CSR sides a vertex's gather
+// walks: false for its out-arcs, true for its in-arcs.
+var gatherLegs = [...][]bool{None: nil, In: {true}, Out: {false}, Both: {false, true}}
+
+// arcRange returns v's arc index range on one CSR side: its out-arcs when
+// in is false, its in-arcs when it is true. Only that side's offsets are
+// read.
+func arcRange(g *graph.Graph, v uint32, in bool) (lo, hi int64) {
+	if in {
+		return g.InArcRange(v)
+	}
+	return g.OutArcRange(v)
+}
+
+// arcAt describes arc a of one CSR side: an out-arc index when in is
+// false, an in-arc index when it is true.
+func arcAt(g *graph.Graph, a int64, in bool) Arc {
+	if in {
+		out := g.InArcToOutArc(a)
+		return Arc{Index: out, Other: g.InArcSource(a), Weight: g.ArcWeight(out)}
+	}
+	return Arc{Index: a, Other: g.ArcTarget(a), Weight: g.ArcWeight(a)}
+}
+
+// gatherPhase folds every active vertex's arcs into its accumulator —
+// through GatherInto when the program is an Accumulator, else by value
+// through Gather and Sum — and stores it. Returns the total edge reads,
+// per-worker busy time (granule-level timing — chunk or slice — so the
+// span instrumentation never pays a clock read per vertex) and the
+// schedule mode executed.
 func (e *engine[S, A]) gatherPhase() (int64, []time.Duration, string) {
 	busy := make([]time.Duration, e.workers)
 	if e.gatherD == None {
@@ -462,40 +520,32 @@ func (e *engine[S, A]) gatherPhase() (int64, []time.Duration, string) {
 		return 0, busy, mode
 	}
 	reads := make([]int64, e.workers)
+	legs := gatherLegs[e.gatherD]
+	into := e.into
 	mode := e.forActive(e.gatherD, busy, func(worker int, v uint32) {
 		var acc A
-		has := false
 		self := e.state[v]
 		r := int64(0)
-		if e.gatherD == Out || e.gatherD == Both {
-			lo, hi := e.g.OutArcRange(v)
+		for _, in := range legs {
+			lo, hi := arcRange(e.g, v, in)
 			for a := lo; a < hi; a++ {
-				arc := Arc{Index: a, Other: e.g.ArcTarget(a), Weight: e.g.ArcWeight(a)}
-				contrib := e.p.Gather(v, arc, self, e.state[arc.Other])
-				if has {
-					acc = e.p.Sum(acc, contrib)
-				} else {
-					acc, has = contrib, true
+				arc := arcAt(e.g, a, in)
+				other := e.state[arc.Other]
+				switch {
+				case into != nil:
+					into.GatherInto(&e.acc[v], r == 0, v, arc, self, other)
+				case r == 0:
+					acc = e.p.Gather(v, arc, self, other)
+				default:
+					acc = e.p.Sum(acc, e.p.Gather(v, arc, self, other))
 				}
 				r++
 			}
 		}
-		if e.gatherD == In || e.gatherD == Both {
-			lo, hi := e.g.InArcRange(v)
-			for a := lo; a < hi; a++ {
-				out := e.g.InArcToOutArc(a)
-				arc := Arc{Index: out, Other: e.g.InArcSource(a), Weight: e.g.ArcWeight(out)}
-				contrib := e.p.Gather(v, arc, self, e.state[arc.Other])
-				if has {
-					acc = e.p.Sum(acc, contrib)
-				} else {
-					acc, has = contrib, true
-				}
-				r++
-			}
+		if into == nil || r == 0 {
+			e.acc[v] = acc
 		}
-		e.acc[v] = acc
-		e.hasAcc[v] = has
+		e.hasAcc[v] = r > 0
 		reads[worker] += r
 	})
 	var total int64

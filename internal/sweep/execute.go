@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -221,7 +222,10 @@ func RunSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorith
 // workload (graph, rating matrix, linear system or MRF) is built — or
 // fetched from the campaign's shared cache, which is keyed on structure
 // alone so every model sweeping the same graph shares one copy — and
-// handed to the model implementation the spec names.
+// handed to the model implementation the spec names. Both steps run under
+// the spec's pprof labels (runLabels); goroutines started inside, the
+// engine's workers among them, inherit them, so a CPU profile taken
+// during a campaign splits its samples per run.
 func runSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorithms.FrontierMode, cache *graphCache) (*behavior.Run, *trace.RunTrace, error) {
 	if cache == nil {
 		cache = &graphCache{}
@@ -236,15 +240,18 @@ func runSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorith
 	if !m.Supports(spec.Algorithm) {
 		return nil, nil, fmt.Errorf("sweep: model %s does not implement algorithm %s", m.Name(), spec.Algorithm)
 	}
-	w, err := specWorkload(spec, cache)
-	if err != nil {
-		return nil, nil, err
-	}
-	out, err := m.Run(ctx, w, spec.Algorithm, model.Options{
-		Workers:  workers,
-		Context:  ctx,
-		Frontier: frontier,
-		Seed:     spec.Seed,
+	var out *model.Result
+	pprof.Do(ctx, runLabels(spec), func(ctx context.Context) {
+		var w model.Workload
+		if w, err = specWorkload(spec, cache); err != nil {
+			return
+		}
+		out, err = m.Run(ctx, w, spec.Algorithm, model.Options{
+			Workers:  workers,
+			Context:  ctx,
+			Frontier: frontier,
+			Seed:     spec.Seed,
+		})
 	})
 	if err != nil {
 		return nil, nil, err
@@ -263,6 +270,17 @@ func runSpecTrace(ctx context.Context, spec Spec, workers int, frontier algorith
 		Raw:            behavior.FromTrace(out.Trace),
 	}
 	return r, out.Trace, nil
+}
+
+// runLabels is the pprof label set of one run: its algorithm, execution
+// model, size label and degree exponent (0.00 for workloads without one).
+func runLabels(spec Spec) pprof.LabelSet {
+	return pprof.Labels(
+		"algorithm", string(spec.Algorithm),
+		"model", string(spec.EffectiveModel()),
+		"size", spec.SizeLabel,
+		"alpha", fmt.Sprintf("%.2f", spec.Alpha),
+	)
 }
 
 // specWorkload assembles (or fetches from the shared cache) the input
