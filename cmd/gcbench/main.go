@@ -182,6 +182,7 @@ func cmdSweep(args []string) error {
 		if err != nil {
 			return err
 		}
+		defer journal.Close()
 		if *resume != "" {
 			slog.Info("resuming campaign", "journal", jpath, "checkpointed", journal.Summary())
 		}

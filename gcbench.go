@@ -210,8 +210,8 @@ type SweepConfig = sweep.Config
 // RunResult is the per-spec outcome of a resilient campaign.
 type RunResult = sweep.RunResult
 
-// Journal is the campaign checkpoint (append-only JSONL, atomically
-// rewritten) that enables resume after interruption.
+// Journal is the campaign checkpoint (append-only JSONL, one fsynced
+// line per run) that enables resume after interruption.
 type Journal = sweep.Journal
 
 // JournalEntry is one checkpointed run record.

@@ -284,10 +284,13 @@ func (p ddLogGather) Gather(v uint32, e engine.Arc, _, _ ddState) float64 {
 // sizes through the tabulated pairwise costs and through the per-arc
 // logarithm, and requires bit-identical results. The generated
 // potentials are symmetric, so a fifth MRF with asymmetric three-state
-// potentials checks the table's orientation. The runs stop at 100 of the
-// default 3000 iterations (no paper-size run converges before the cap) to
-// keep the race-enabled suite short; every iteration exercises the same
-// gather.
+// potentials checks the table's orientation (and keeps the general loop
+// covered; the others take the two-state kernel). A sixth, two-state MRF
+// with all potentials equal ties all four costs of every arc at
+// iteration 0, where the kernel must pick x_v = 0 as the loop does. The
+// runs stop at 100 of the default 3000 iterations (no paper-size run
+// converges before the cap) to keep the race-enabled suite short; every
+// iteration exercises the same gather.
 func TestDDPairCostTableMatchesLogOracle(t *testing.T) {
 	const iterations = 100
 	var mrfs []*graph.MRF
@@ -299,6 +302,31 @@ func TestDDPairCostTableMatchesLogOracle(t *testing.T) {
 		mrfs = append(mrfs, m)
 	}
 	mrfs = append(mrfs, asymmetricMRF(t, mrfs[0].G, 3))
+	tied := uniformMRF(t, mrfs[0].G, 2)
+	mrfs = append(mrfs, tied)
+
+	p, err := newDDProgram(tied, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := newDDProgram(tied, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tied.G
+	for v := uint32(0); int(v) < g.NumVertices(); v++ {
+		lo, hi := g.OutArcRange(v)
+		for a := lo; a < hi; a++ {
+			arc := engine.Arc{Index: a, Other: g.ArcTarget(a)}
+			p.edgeMin[a], oracle.edgeMin[a] = -1, -1
+			got := p.Gather(v, arc, ddState{}, ddState{})
+			want := ddLogGather{oracle}.Gather(v, arc, ddState{}, ddState{})
+			if p.edgeMin[a] != 0 || oracle.edgeMin[a] != 0 || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tied arc %d: x_v %d value %v, oracle x_v %d value %v; want x_v 0",
+					a, p.edgeMin[a], got, oracle.edgeMin[a], want)
+			}
+		}
+	}
 
 	for _, m := range mrfs {
 		name := fmt.Sprintf("%d edges, %d states", m.G.NumEdges(), m.Card[0])
@@ -331,6 +359,30 @@ func TestDDPairCostTableMatchesLogOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// uniformMRF puts the same potential on every state and state pair of g.
+func uniformMRF(t *testing.T, g *graph.Graph, states int) *graph.MRF {
+	t.Helper()
+	card := make([]int, g.NumVertices())
+	unary := make([][]float64, g.NumVertices())
+	for v := range card {
+		card[v] = states
+		for s := 0; s < states; s++ {
+			unary[v] = append(unary[v], 0.5)
+		}
+	}
+	pair := make([][]float64, g.NumEdges())
+	for e := range pair {
+		for i := 0; i < states*states; i++ {
+			pair[e] = append(pair[e], 0.5)
+		}
+	}
+	m, err := graph.NewMRF(g, card, unary, pair)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // asymmetricMRF puts deterministic pseudo-random potentials with

@@ -42,6 +42,7 @@ type ddState struct {
 // the paper notes (three orders of magnitude more iterations than TC).
 type ddProgram struct {
 	m    *graph.MRF
+	n    int // states per variable (cardinality is validated uniform)
 	rev  []int64
 	dual []float64 // numArcs × states: λ of the arc's source vertex
 	// pairCost is θ_e(x_v, x_u) = −log φ_e(x_v, x_u) for every arc, seen
@@ -62,7 +63,7 @@ type ddProgram struct {
 	bestDual float64
 }
 
-func (p *ddProgram) states() int { return p.m.Card[0] }
+func (p *ddProgram) states() int { return p.n }
 
 func (p *ddProgram) Init(_ *graph.Graph, _ uint32) (ddState, bool) {
 	return ddState{Assign: 0, Disagree: math.MaxInt32}, true
@@ -72,19 +73,22 @@ func (p *ddProgram) GatherDirection() engine.Direction { return engine.Out }
 
 // Gather solves one edge subproblem from v's perspective and records the
 // minimizing x_v. The accumulated value is the subproblem minimum — the
-// edge's contribution to the dual objective.
+// edge's contribution to the dual objective. Two-state MRFs (every DD
+// workload in the plan) take an unrolled kernel; larger ones the loop.
 func (p *ddProgram) Gather(_ uint32, e engine.Arc, _, _ ddState) float64 {
 	n := p.states()
-	nu := p.m.Card[e.Other]
-	myDual := p.dual[e.Index*int64(n) : e.Index*int64(n)+int64(n)]
-	otherDual := p.dual[p.rev[e.Index]*int64(nu) : p.rev[e.Index]*int64(nu)+int64(nu)]
-	te := p.pairCost[e.Index*int64(n*nu) : (e.Index+1)*int64(n*nu)]
+	if n == 2 {
+		return p.gather2(e)
+	}
+	myDual := p.dual[e.Index*int64(n) : (e.Index+1)*int64(n)]
+	otherDual := p.dual[p.rev[e.Index]*int64(n) : (p.rev[e.Index]+1)*int64(n)]
+	te := p.pairCost[e.Index*int64(n*n) : (e.Index+1)*int64(n*n)]
 	best := math.Inf(1)
 	bestXv := int32(0)
-	for xv := 0; xv < n; xv++ {
-		for xu := 0; xu < nu; xu++ {
+	for xv := range myDual {
+		for xu := range otherDual {
 			// θ_e, shifted by the two endpoints' duals.
-			cost := te[xv*nu+xu] + myDual[xv] + otherDual[xu]
+			cost := te[xv*n+xu] + myDual[xv] + otherDual[xu]
 			if cost < best {
 				best = cost
 				bestXv = int32(xv)
@@ -94,6 +98,37 @@ func (p *ddProgram) Gather(_ uint32, e engine.Arc, _, _ ddState) float64 {
 	p.edgeMin[e.Index] = bestXv
 	// Each edge subproblem is shared by two endpoints; halve so the dual
 	// objective counts it once.
+	return best / 2
+}
+
+// gather2 is Gather's loop unrolled for two states: the same four sums,
+// each over the same operands in the same order, compared in the loop's
+// (x_v, x_u) order with strict <, so the first minimum wins exactly as
+// in the loop and every output is bit-identical.
+func (p *ddProgram) gather2(e engine.Arc) float64 {
+	a, r := e.Index*2, p.rev[e.Index]*2
+	my := p.dual[a : a+2 : a+2]
+	other := p.dual[r : r+2 : r+2]
+	te := p.pairCost[a*2 : a*2+4 : a*2+4]
+	c00 := te[0] + my[0] + other[0]
+	c01 := te[1] + my[0] + other[1]
+	c10 := te[2] + my[1] + other[0]
+	c11 := te[3] + my[1] + other[1]
+	// Start from +Inf as the loop does, so a NaN c00 is skipped here too.
+	best, bestXv := math.Inf(1), int32(0)
+	if c00 < best {
+		best = c00
+	}
+	if c01 < best {
+		best = c01
+	}
+	if c10 < best {
+		best, bestXv = c10, 1
+	}
+	if c11 < best {
+		best, bestXv = c11, 1
+	}
+	p.edgeMin[e.Index] = bestXv
 	return best / 2
 }
 
@@ -231,6 +266,7 @@ func newDDProgram(m *graph.MRF, step0 float64) (*ddProgram, error) {
 	}
 	return &ddProgram{
 		m:        m,
+		n:        n,
 		rev:      g.ReverseArcs(),
 		dual:     make([]float64, arcs*int64(n)),
 		pairCost: pairCost,

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"gcbench/internal/graph"
@@ -312,5 +313,46 @@ func TestMRFGenerator(t *testing.T) {
 func TestMRFErrors(t *testing.T) {
 	if _, err := MRF(MRFConfig{NumEdges: 0}); err == nil {
 		t.Fatal("NumEdges=0 accepted")
+	}
+}
+
+// TestPowerLawMeanMemoized pins the normalizer cache: a cached mean is
+// bit-identical to the sum it replaces, NaN exponents hit their own
+// entry, and the cache stops growing at its cap.
+func TestPowerLawMeanMemoized(t *testing.T) {
+	for _, alpha := range []float64{2, 2.25, 2.5, 2.75, 3, math.NaN()} {
+		want := math.Float64bits(powerLawMeanSum(100000, alpha))
+		for i := 0; i < 2; i++ {
+			if got := math.Float64bits(powerLawMean(100000, alpha)); got != want {
+				t.Fatalf("powerLawMean(α=%v) call %d = %x, want %x", alpha, i, got, want)
+			}
+		}
+	}
+	// Concurrent callers on one cold key each sum outside the lock and
+	// must all see the same bits.
+	want := math.Float64bits(powerLawMeanSum(1000, 2.125))
+	got := make([]uint64, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = math.Float64bits(powerLawMean(1000, 2.125))
+		}()
+	}
+	wg.Wait()
+	for g, bits := range got {
+		if bits != want {
+			t.Fatalf("concurrent caller %d got %x, want %x", g, bits, want)
+		}
+	}
+	for i := 0; i < 2*powerLawMeansCap; i++ {
+		powerLawMean(10, 1.5+float64(i)/1000)
+	}
+	powerLawMeans.Lock()
+	n := len(powerLawMeans.m)
+	powerLawMeans.Unlock()
+	if n > powerLawMeansCap {
+		t.Fatalf("normalizer cache holds %d entries, cap %d", n, powerLawMeansCap)
 	}
 }

@@ -13,6 +13,7 @@ package gen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gcbench/internal/graph"
 	"gcbench/internal/rng"
@@ -107,8 +108,46 @@ func vertexCountFor(nedges int64, alpha float64) int {
 	return n
 }
 
+// powerLawMeans memoizes powerLawMean. A campaign generates many graphs
+// from a handful of exponents, and every one of them would otherwise
+// repeat the same kmax-term sum. The key holds α's bits, so every α
+// (NaN included) finds its own entry, and the map stops growing at
+// powerLawMeansCap entries.
+var powerLawMeans = struct {
+	sync.Mutex
+	m map[powerLawKey]float64
+}{m: make(map[powerLawKey]float64)}
+
+const powerLawMeansCap = 256
+
+type powerLawKey struct {
+	kmax  int
+	alpha uint64
+}
+
 // powerLawMean returns E[k] of the truncated power law on [1, kmax].
 func powerLawMean(kmax int, alpha float64) float64 {
+	key := powerLawKey{kmax, math.Float64bits(alpha)}
+	powerLawMeans.Lock()
+	m, ok := powerLawMeans.m[key]
+	powerLawMeans.Unlock()
+	if ok {
+		return m
+	}
+	// Sum outside the lock: a cold key must not stall generators asking
+	// for other exponents. Two callers racing on one key compute the same
+	// bits, so whichever stores last changes nothing.
+	m = powerLawMeanSum(kmax, alpha)
+	powerLawMeans.Lock()
+	if len(powerLawMeans.m) < powerLawMeansCap {
+		powerLawMeans.m[key] = m
+	}
+	powerLawMeans.Unlock()
+	return m
+}
+
+// powerLawMeanSum computes powerLawMean's sum.
+func powerLawMeanSum(kmax int, alpha float64) float64 {
 	var num, den float64
 	for k := 1; k <= kmax; k++ {
 		p := math.Pow(float64(k), -alpha)

@@ -373,7 +373,10 @@ func (s *Span) Fail(msg string) {
 // End finishes the span and commits it to the trace. Idempotent; the
 // first call wins. Ending the trace's root span offers the trace to
 // the store's tail sampler.
-func (s *Span) End() {
+func (s *Span) End() { s.endAt(time.Now()) }
+
+// endAt is End with the span finishing at the given time.
+func (s *Span) endAt(at time.Time) {
 	if s == nil {
 		return
 	}
@@ -383,7 +386,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.data.Duration = time.Since(s.data.Start)
+	s.data.Duration = at.Sub(s.data.Start)
 	if s.data.Status == "" {
 		s.data.Status = StatusOK
 	}

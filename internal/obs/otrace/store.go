@@ -15,7 +15,10 @@ import (
 //
 //   - a span in it failed (Status "error"),
 //   - the HTTP layer marked it explicitly (429s and 5xx responses),
-//   - its root duration landed in the slowest decile of recent roots.
+//   - its root duration landed in the slowest decile of recent roots:
+//     strictly longer than their p90. A root that only ties the p90 is
+//     not slow, so a flood of equally fast roots protects none of them
+//     and cannot push a genuinely slow trace out.
 //
 // Protected traces are only evicted when no boring finished trace
 // remains, and in-flight traces (root not yet ended) outlive both, so
@@ -128,7 +131,7 @@ func (t *Trace) rootEnd(root SpanData) {
 
 	t.mu.Lock()
 	t.rootEnded = true
-	if have && root.Duration >= threshold {
+	if have && root.Duration > threshold {
 		t.protected = true
 	}
 	if root.Status == StatusError {

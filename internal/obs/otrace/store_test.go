@@ -64,16 +64,22 @@ func TestStoreKeepsInFlightTraces(t *testing.T) {
 	}
 }
 
+// endFastTrace records a finished root that lasted exactly one
+// millisecond, however long the store itself took.
+func endFastTrace(st *Store) {
+	_, root := st.StartTrace("fast", "server", TraceID{}, SpanID{})
+	root.endAt(root.data.Start.Add(time.Millisecond))
+}
+
 func TestStoreSlowDecileProtection(t *testing.T) {
 	st := NewStore(64)
 	// Prime the duration window with fast roots.
 	for i := 0; i < 32; i++ {
-		endTrace(st, "fast", false)
+		endFastTrace(st)
 	}
-	// One slow root: far beyond the p90 of the ~instant priming roots.
+	// One slow root: far beyond the p90 of the 1 ms priming roots.
 	tr, root := st.StartTrace("slow", "server", TraceID{}, SpanID{})
-	root.data.Start = root.data.Start.Add(-500 * time.Millisecond) // backdate instead of sleeping
-	root.End()
+	root.endAt(root.data.Start.Add(500 * time.Millisecond)) // instead of sleeping
 	slowID := tr.ID()
 	got, ok := st.Get(slowID)
 	if !ok {
@@ -87,10 +93,22 @@ func TestStoreSlowDecileProtection(t *testing.T) {
 	}
 	// Flood with fast traces: the slow one must survive capacity pressure.
 	for i := 0; i < 200; i++ {
-		endTrace(st, "fast", false)
+		endFastTrace(st)
 	}
 	if _, ok := st.Get(slowID); !ok {
 		t.Fatal("slowest-decile trace evicted while boring traces remained")
+	}
+	// Roots that only tie the p90 are not slow: the slow root is the one
+	// protected trace left.
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for id, tr := range st.traces {
+		tr.mu.Lock()
+		protected := tr.protected
+		tr.mu.Unlock()
+		if protected != (id == slowID) {
+			t.Fatalf("trace %v protected = %v", id, protected)
+		}
 	}
 }
 

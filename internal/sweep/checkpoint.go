@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,8 +13,8 @@ import (
 	"gcbench/internal/obs"
 )
 
-// metricJournalWrites counts atomic journal rewrites (one per Record).
-var metricJournalWrites = obs.Default().Counter("gcbench_sweep_journal_writes_total", "Checkpoint journal rewrites.")
+// metricJournalWrites counts journal writes (one per Record).
+var metricJournalWrites = obs.Default().Counter("gcbench_sweep_journal_writes_total", "Checkpoint journal records written.")
 
 // JournalEntry is one checkpoint record: the final outcome of one spec,
 // keyed by the spec's ID. Successful entries embed the measured behavior
@@ -49,21 +50,31 @@ func entryOf(r RunResult) JournalEntry {
 }
 
 // Journal is a campaign checkpoint: an append-only JSONL file with one
-// JournalEntry per line, rewritten atomically (temp file + rename in the
-// journal's directory) on every Record so a killed process never leaves a
-// torn file behind. Re-recording a spec ID (a failed run retried by a
-// resumed campaign) replaces the earlier entry.
+// JournalEntry per line. Re-recording a spec ID (a failed run retried by
+// a resumed campaign) replaces the earlier entry.
+//
+// Durability: the first Record after OpenJournal rewrites the whole
+// journal atomically (temp file + fsync + rename in the journal's
+// directory), which drops a torn final line and superseded entries left
+// by an earlier process. Every later Record appends its one line and
+// fsyncs it, so a campaign writes O(n) bytes in total and a kill can
+// tear at most the final line, which LoadJournal drops. A failed append
+// closes the file, and the next Record starts over with a rewrite.
 type Journal struct {
 	path string
 
 	mu      sync.Mutex
 	order   []string
 	entries map[string]JournalEntry
+	// f is the journal opened for appending, nil until the first Record
+	// has rewritten the file.
+	f *os.File
 }
 
-// OpenJournal opens (or creates) the journal at path, loading any
-// existing entries for resume. A trailing partial line — a write cut off
-// by a kill before the atomic rewrite landed — is tolerated and dropped.
+// OpenJournal loads the journal at path for resume. It only reads: a
+// missing file is an empty journal, and nothing is written until the
+// first Record. A trailing partial line — a write cut off by a kill — is
+// tolerated and dropped.
 func OpenJournal(path string) (*Journal, error) {
 	j := &Journal{path: path, entries: make(map[string]JournalEntry)}
 	entries, err := LoadJournal(path)
@@ -74,9 +85,7 @@ func OpenJournal(path string) (*Journal, error) {
 		return nil, err
 	}
 	for _, e := range entries {
-		if _, ok := j.entries[e.ID]; !ok {
-			j.order = append(j.order, e.ID)
-		}
+		j.order = append(j.order, e.ID)
 		j.entries[e.ID] = e
 	}
 	return j, nil
@@ -130,8 +139,9 @@ func (j *Journal) Entries() []JournalEntry {
 	return out
 }
 
-// Record checkpoints one finished spec and atomically persists the
-// journal. Safe for concurrent use by campaign worker goroutines.
+// Record checkpoints one finished spec: it appends the entry's JSON line
+// and fsyncs it (the first Record rewrites the whole journal instead).
+// Safe for concurrent use by campaign worker goroutines.
 func (j *Journal) Record(e JournalEntry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -140,7 +150,57 @@ func (j *Journal) Record(e JournalEntry) error {
 	}
 	j.entries[e.ID] = e
 	metricJournalWrites.Inc()
-	return j.flushLocked()
+	if j.f == nil {
+		return j.rewriteLocked()
+	}
+	if err := j.appendLocked(e); err != nil {
+		// The file may now end in a partial line: drop the handle so the
+		// next Record rewrites the journal clean.
+		j.f.Close()
+		j.f = nil
+		return err
+	}
+	return nil
+}
+
+// appendLocked writes e as one JSON line at the end of the journal and
+// fsyncs it.
+func (j *Journal) appendLocked(e JournalEntry) error {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	if _, err := j.f.Write(append(line, '\n')); err != nil {
+		return err
+	}
+	return j.f.Sync()
+}
+
+// rewriteLocked writes the in-memory journal through flushLocked and
+// opens the result for appending.
+func (j *Journal) rewriteLocked() error {
+	if err := j.flushLocked(); err != nil {
+		return err
+	}
+	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	j.f = f
+	return nil
+}
+
+// Close closes the journal's file. Every recorded entry is already on
+// disk; a Record after Close rewrites the journal and reopens it.
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.f.Close()
+	j.f = nil
+	return err
 }
 
 // flushLocked writes every entry as one JSON line to a temp file in the
@@ -174,38 +234,50 @@ func (j *Journal) flushLocked() error {
 	return os.Rename(tmp.Name(), j.path)
 }
 
-// LoadJournal reads a journal file's entries in file order. A final
-// partial line is dropped; a malformed line elsewhere is an error.
+// LoadJournal reads a journal file's entries. A final partial line is
+// dropped; a malformed line elsewhere is an error. A spec ID recorded
+// more than once keeps its last entry at its first-recorded position.
 func LoadJournal(path string) ([]JournalEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	return readJournal(f, path)
+}
+
+// readJournal is LoadJournal over any reader; name labels its errors.
+func readJournal(r io.Reader, name string) ([]JournalEntry, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<26)
 	var entries []JournalEntry
+	at := make(map[string]int) // spec ID -> index in entries
 	var pendingErr error
 	line := 0
 	for sc.Scan() {
 		line++
-		text := sc.Text()
+		text := sc.Bytes()
 		if len(text) == 0 {
 			continue
 		}
 		var e JournalEntry
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
+		if err := json.Unmarshal(text, &e); err != nil {
 			// Only tolerate corruption on the final line (torn write).
-			pendingErr = fmt.Errorf("sweep: journal %s line %d: %w", path, line, err)
+			pendingErr = fmt.Errorf("sweep: journal %s line %d: %w", name, line, err)
 			continue
 		}
 		if pendingErr != nil {
 			return nil, pendingErr
 		}
+		if i, ok := at[e.ID]; ok {
+			entries[i] = e
+			continue
+		}
+		at[e.ID] = len(entries)
 		entries = append(entries, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: reading journal %s: %w", path, err)
+		return nil, fmt.Errorf("sweep: reading journal %s: %w", name, err)
 	}
 	return entries, nil
 }

@@ -304,13 +304,13 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := campaignSpecs(2)
-	for _, s := range specs {
-		e := entryOf(RunResult{Spec: s, Status: behavior.StatusOK, Attempts: 1,
-			Run: &behavior.Run{Algorithm: string(s.Algorithm), SizeLabel: s.SizeLabel}})
-		if err := j.Record(e); err != nil {
+	for _, s := range campaignSpecs(2) {
+		if err := j.Record(okEntry(s)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 	// Simulate a torn write: a partial record with no trailing newline.
 	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -327,6 +327,21 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	}
 	if len(entries) != 2 {
 		t.Fatalf("got %d entries, want 2", len(entries))
+	}
+	// The next process's first Record rewrites the journal clean, and
+	// its appends follow a whole line.
+	j2, err := OpenJournal(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	for i, s := range campaignSpecs(4)[2:] {
+		if err := j2.Record(okEntry(s)); err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := LoadJournal(jpath); err != nil || len(entries) != 3+i {
+			t.Fatalf("after Record %d: %d entries, err %v; want %d", i+1, len(entries), err, 3+i)
+		}
 	}
 	// Corruption anywhere else is a real error, not silently dropped.
 	if err := os.WriteFile(jpath, []byte("garbage\n{\"id\":\"x\"}\n"), 0o644); err != nil {
